@@ -4,12 +4,12 @@ compactification, and a ReLU-network bridge."""
 
 from .plcore import (TropicalMap, TropicalPolynomial, RamificationProfile,
                      evaluate, validate, ramification, is_admissible,
-                     critical_values, apply_target_automorphism,
+                     apply_target_automorphism,
                      apply_source_automorphism, maps_equal,
                      tropical_polynomial_evaluate, tropicalize_rational)
 from .types_enum import (SlopeSequence, JumpSequence, CombinatorialType,
                          enumerate_types, canonical_type, registry_d3,
-                         registry_sequence, slope_bound_check)
+                         registry_sequence)
 from .moduli import (ModuliPoint, AutGroup, StratumDescriptor,
                      WeightedTropicalCurve, InvalidDegeneration,
                      moduli_point, representative_map, automorphisms,

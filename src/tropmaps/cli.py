@@ -1,7 +1,9 @@
 """Command-line interface: JSON in, JSON (or a small table) out.
 
-Exit codes: 0 success, 1 domain error (with a machine-readable reason
-code), 2 malformed input.
+Every subcommand is one row of COMMANDS and runs load -> decode -> op ->
+encode.  Exit codes: 0 success, 1 domain error, 2 malformed input.  An
+error prints {"error": code, "detail": text}: input errors on stderr,
+domain errors on stdout.  The README lists every code.
 """
 
 from __future__ import annotations
@@ -10,27 +12,9 @@ import argparse
 import json
 import sys
 
-from . import compact, hurwitz, moduli, relu, serialize
-from .moduli import InvalidDegeneration
-from .hurwitz import NonGenericConfiguration
-from .plcore import evaluate, is_admissible, validate
-from .rational import format_rational, parse_extended, format_extended
-from .serialize import SchemaError
-from .types_enum import canonical_type, enumerate_types, registry_d3
-
-EXIT_OK = 0
-EXIT_DOMAIN = 1
-EXIT_INPUT = 2
-
-
-class DomainError(Exception):
-    def __init__(self, code, message=""):
-        super().__init__(message or code)
-        self.code = code
-
-
-class InputError(Exception):
-    pass
+from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
+from .errors import DomainError, InputError, TropmapsError, decoder
+from .rational import format_extended, format_rational, parse_extended
 
 
 def _load_json(path):
@@ -43,143 +27,113 @@ def _load_json(path):
         raise InputError(str(exc)) from exc
 
 
-def _emit(args, payload, human):
-    if getattr(args, "json", False):
-        print(json.dumps(payload))
-    else:
-        human(payload)
-
-
 def _print_kv(payload):
     for key, value in payload.items():
         print("%s: %s" % (key, json.dumps(value)))
 
 
-# --- subcommand handlers -------------------------------------------------
+# --- decoders: args -> the value an op takes ----------------------------
 
-def cmd_types(args):
-    if args.degree == 3 and args.max_breaks is None:
-        types = registry_d3()
-    else:
-        types = enumerate_types(args.degree, args.max_breaks)
-    rows = []
-    for t in types:
-        seq = t.representative or t.canonical
-        rows.append({"label": t.label, "slopes": list(seq.slopes),
-                     "palindromic": t.palindromic, "k": seq.k})
-    def human(rows):
-        for r in rows:
-            print("%-5s k=%d  %s%s" % (r["label"] or "-", r["k"],
-                                       tuple(r["slopes"]),
-                                       "  (palindromic)" if r["palindromic"] else ""))
-    _emit(args, rows, human)
+def _map(args):
+    return serialize.map_from_json(_load_json(args.input))
 
 
-def cmd_classify(args):
-    m = serialize.map_from_json(_load_json(args.input))
-    report = validate(m)
-    adm = is_admissible(m, 3) if report.ok else None
+def _valid_map(args):
+    m = _map(args)
+    report = plcore.validate(m)
+    if not report.ok:
+        raise DomainError("; ".join(report.problems), code="invalid-map")
+    return m
+
+
+def _point(args):
+    return serialize.point_from_json(_load_json(args.input))
+
+
+def _network(args):
+    return serialize.network_from_json(_load_json(args.input))
+
+
+def _branch_configuration(args):
+    if args.branch:
+        return hurwitz.BranchConfiguration.from_branch_points(args.branch.split(","))
+    return hurwitz.BranchConfiguration(tuple(args.distances.split(",")))
+
+
+def _rational_function(args):
+    obj = _load_json(args.input)
+    return (serialize.polynomial_from_json(serialize._require(obj, "p")),
+            serialize.polynomial_from_json(serialize._require(obj, "q")))
+
+
+# --- ops and payloads ------------------------------------------------------
+
+def _types(degree, max_breaks):
+    if degree == 3 and max_breaks is None:
+        return types_enum.registry_d3()
+    return types_enum.enumerate_types(degree, max_breaks)
+
+
+def _type_json(t):
+    seq = t.representative or t.canonical
+    return {"label": t.label, "slopes": list(seq.slopes),
+            "palindromic": t.palindromic, "k": seq.k}
+
+
+def _print_types(rows):
+    for r in rows:
+        print("%-5s k=%d  %s%s" % (r["label"] or "-", r["k"], tuple(r["slopes"]),
+                                   "  (palindromic)" if r["palindromic"] else ""))
+
+
+def _classify(m):
+    report = plcore.validate(m)
     payload = {"valid": report.ok, "problems": list(report.problems)}
-    if adm is not None:
+    if report.ok:
+        adm = plcore.is_admissible(m, 3)
         payload["admissible"] = adm.admissible
         payload["reasons"] = list(adm.reasons)
         if adm.admissible:
-            ctype = canonical_type(moduli.moduli_point(m).seq)
+            ctype = types_enum.canonical_type(moduli.moduli_point(m).seq)
             payload["type"] = ctype.label
             payload["canonical_slopes"] = list(ctype.canonical.slopes)
-    _emit(args, payload, _print_kv)
+    return payload
 
 
-def cmd_eval(args):
-    m = serialize.map_from_json(_load_json(args.input))
-    if not validate(m).ok:
-        raise DomainError("invalid-map")
-    try:
-        x = parse_extended(args.at)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    value = evaluate(m, x)
-    payload = {"value": format_extended(value)}
-    _emit(args, payload, lambda p: print(p["value"]))
-
-
-def _load_point(args):
-    try:
-        return serialize.point_from_json(_load_json(args.input))
-    except SchemaError:
-        raise
-
-
-def cmd_aut(args):
-    p = _load_point(args)
-    group = moduli.automorphisms(p)
+def _aut_json(group):
     payload = {"kind": group.kind}
     if group.kind == moduli.Z2:
         payload["reflection_center"] = format_rational(group.reflection_center)
         payload["target_shift"] = format_rational(group.target_shift)
-    _emit(args, payload, _print_kv)
+    return payload
 
 
-def cmd_stratum(args):
-    p = _load_point(args)
-    s = moduli.stratum(p)
-    payload = {"aut": s.aut, "cell_dimension": s.cell_dimension,
-               "symmetric_locus": s.symmetric_locus, "label": s.label}
-    _emit(args, payload, _print_kv)
-
-
-def cmd_degenerate(args):
-    p = _load_point(args)
-    try:
-        q = moduli.degenerate(p, args.merge)
-    except InvalidDegeneration as exc:
-        raise DomainError("invalid-degeneration", str(exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(args, serialize.point_to_json(q), _print_kv)
-
-
-def cmd_curve(args):
-    p = _load_point(args)
-    c = moduli.weighted_curve(p)
-    payload = {
+def _curve_json(c):
+    return {
         "vertices": [{"position": format_rational(x), "weight": w}
                      for x, w in c.finite_vertices],
         "edges": [{"length": format_rational(l), "dilation": s}
                   for l, s in c.bounded_edges],
         "leaf_dilations": list(c.leaf_dilations),
     }
-    _emit(args, payload, _print_kv)
 
 
-def cmd_hurwitz(args):
-    from .rational import parse_rational
-    try:
-        if args.branch:
-            values = [parse_rational(v) for v in args.branch.split(",")]
-            b = hurwitz.BranchConfiguration.from_branch_points(values)
-        else:
-            values = [parse_rational(v) for v in args.distances.split(",")]
-            b = hurwitz.BranchConfiguration(tuple(values))
-    except NonGenericConfiguration as exc:
-        raise DomainError("non-generic-configuration", str(exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _hurwitz(b):
     elements = hurwitz.fiber(b)
-    payload = {
+    return {
         "geometric_count": len(elements),
         "weighted_count": hurwitz.hurwitz_number(b),
         "elements": [{"slopes": list(e.seq.slopes),
                       "gaps": [format_rational(g) for g in e.gaps],
                       "multiplicity": e.multiplicity} for e in elements],
     }
-    def human(p):
-        print("geometric count: %d" % p["geometric_count"])
-        print("weighted count:  %d" % p["weighted_count"])
-        for e in p["elements"]:
-            print("  %s gaps=%s mult=%d" % (tuple(e["slopes"]),
-                                            e["gaps"], e["multiplicity"]))
-    _emit(args, payload, human)
+
+
+def _print_hurwitz(p):
+    print("geometric count: %d" % p["geometric_count"])
+    print("weighted count:  %d" % p["weighted_count"])
+    for e in p["elements"]:
+        print("  %s gaps=%s mult=%d" % (tuple(e["slopes"]), e["gaps"], e["multiplicity"]))
 
 
 def _stratum_json(s):
@@ -194,59 +148,28 @@ def _stratum_json(s):
     }
 
 
-def cmd_strata(args):
-    from .types_enum import registry_sequence
-    try:
-        seq = registry_sequence(args.type)
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
-    if seq.k != 4:
-        raise DomainError("not-a-maximal-type",
-                          "type %s has k=%d, need k=4" % (args.type, seq.k))
+def _strata(label, seq):
     strata = compact.face_lattice(seq)
     census = {}
     for s in strata:
         census[s.codimension] = census.get(s.codimension, 0) + 1
-    payload = {
-        "type": args.type,
+    return {
+        "type": label,
         "codimension_census": {str(c): census[c] for c in sorted(census)},
         "strata": [_stratum_json(s) for s in strata],
     }
-    def human(p):
-        print("type %s: %d strata, census %s"
-              % (p["type"], len(p["strata"]), p["codimension_census"]))
-        for s in p["strata"]:
-            print("  %-28s codim %d  limit %s  in_moduli=%s"
-                  % ("/".join(s["states"]), s["codimension"],
-                     tuple(s["limit_slopes"]), s["in_moduli"]))
-    _emit(args, payload, human)
 
 
-def cmd_classify_compact(args):
-    p = serialize.compact_point_from_json(_load_json(args.input))
-    _emit(args, _stratum_json(compact.classify_stratum(p)), _print_kv)
+def _print_strata(p):
+    print("type %s: %d strata, census %s"
+          % (p["type"], len(p["strata"]), p["codimension_census"]))
+    for s in p["strata"]:
+        print("  %-28s codim %d  limit %s  in_moduli=%s"
+              % ("/".join(s["states"]), s["codimension"],
+                 tuple(s["limit_slopes"]), s["in_moduli"]))
 
 
-def cmd_from_relu(args):
-    net = serialize.network_from_json(_load_json(args.input))
-    conv = relu.network_to_map(net)
-    payload = {"map": serialize.map_to_json(conv.map),
-               "admissible": conv.admissible,
-               "problems": list(conv.problems)}
-    _emit(args, payload, _print_kv)
-
-
-def cmd_to_relu(args):
-    m = serialize.map_from_json(_load_json(args.input))
-    if not validate(m).ok:
-        raise DomainError("invalid-map")
-    net = relu.map_to_network(m)
-    _emit(args, serialize.network_to_json(net), _print_kv)
-
-
-def cmd_symmetry(args):
-    net = serialize.network_from_json(_load_json(args.input))
-    report = relu.symmetry_report(net)
+def _symmetry_json(report):
     payload = {
         "dead_units": [{"index": d.index, "reason": d.reason}
                        for d in report.dead_units],
@@ -259,21 +182,82 @@ def cmd_symmetry(args):
     if report.gap_condition is not None:
         l1, l3, equal = report.gap_condition
         payload["gap_condition"] = {"l1": format_rational(l1),
-                                    "l3": format_rational(l3),
-                                    "equal": equal}
-    _emit(args, payload, _print_kv)
+                                    "l3": format_rational(l3), "equal": equal}
+    return payload
 
 
-def cmd_tropicalize(args):
-    from .plcore import tropicalize_rational
-    obj = _load_json(args.input)
-    p = serialize.polynomial_from_json(serialize._require(obj, "p"))
-    q = serialize.polynomial_from_json(serialize._require(obj, "q"))
-    m = tropicalize_rational(p, q)
-    _emit(args, serialize.map_to_json(m), _print_kv)
+# --- the dispatch table ------------------------------------------------------
+
+INPUT = ("input", {"help": "JSON file path, or - for stdin"})
+
+# One row per subcommand: name, help, arguments, decode(args) -> value,
+# op(value) -> result, encode(result) -> payload (None: the result is the
+# payload), human(payload).  An argument is a (flag, kwargs) pair; a list
+# of them is a required choice of exactly one.  Rows look library
+# functions up when they run, so rebinding a module attribute reaches them.
+COMMANDS = (
+    ("types", "enumerate combinatorial types",
+     [("--degree", {"type": int, "required": True}),
+      ("--max-breaks", {"type": int, "default": None})],
+     lambda a: (a.degree, a.max_breaks), lambda v: _types(*v),
+     lambda types: [_type_json(t) for t in types], _print_types),
+    ("classify", "validate a map and identify its type", [INPUT],
+     _map, _classify, None, _print_kv),
+    ("eval", "evaluate a map at a point", [INPUT, ("--at", {"required": True})],
+     lambda a: (_valid_map(a), parse_extended(a.at)), lambda v: plcore.evaluate(*v),
+     lambda x: {"value": format_extended(x)}, lambda p: print(p["value"])),
+    ("aut", "automorphism group of a moduli point", [INPUT],
+     _point, lambda p: moduli.automorphisms(p), _aut_json, _print_kv),
+    ("stratum", "symmetry stratum of a moduli point", [INPUT],
+     _point, lambda p: moduli.stratum(p),
+     lambda s: {"aut": s.aut, "cell_dimension": s.cell_dimension,
+                "symmetric_locus": s.symmetric_locus, "label": s.label}, _print_kv),
+    ("degenerate", "merge two adjacent break points",
+     [INPUT, ("--merge", {"type": int, "required": True})],
+     lambda a: (_point(a), a.merge), lambda v: moduli.degenerate(*v),
+     lambda q: serialize.point_to_json(q), _print_kv),
+    ("curve", "underlying weighted tropical curve", [INPUT],
+     _point, lambda p: moduli.weighted_curve(p), _curve_json, _print_kv),
+    ("classify-compact", "boundary stratum of a compactified point", [INPUT],
+     lambda a: serialize.compact_point_from_json(_load_json(a.input)),
+     lambda p: compact.classify_stratum(p), _stratum_json, _print_kv),
+    ("from-relu", "convert a ReLU network to a map", [INPUT],
+     _network, lambda n: relu.network_to_map(n),
+     lambda c: {"map": serialize.map_to_json(c.map), "admissible": c.admissible,
+                "problems": list(c.problems)}, _print_kv),
+    ("to-relu", "canonical ReLU network of a map", [INPUT],
+     _valid_map, lambda m: relu.map_to_network(m),
+     lambda n: serialize.network_to_json(n), _print_kv),
+    ("symmetry", "symmetry / pruning report of a network", [INPUT],
+     _network, lambda n: relu.symmetry_report(n), _symmetry_json, _print_kv),
+    ("tropicalize", "tropicalize a rational function from coefficient data", [INPUT],
+     _rational_function, lambda v: plcore.tropicalize_rational(*v),
+     lambda m: serialize.map_to_json(m), _print_kv),
+    ("hurwitz", "Hurwitz fiber over a branch configuration",
+     [[("--branch", {"help": "four branch points p1,p2,p3,p4"}),
+       ("--distances", {"help": "three distances d1,d2,d3"})]],
+     _branch_configuration, _hurwitz, None, _print_hurwitz),
+    ("strata", "face lattice of a maximal type's cube",
+     [("--type", {"required": True, "help": "registry label I-V"})],
+     lambda a: (a.type, types_enum.registry_sequence(a.type)),
+     lambda v: _strata(*v), None, _print_strata),
+)
 
 
-# --- parser --------------------------------------------------------------
+def _runner(decode, op, encode, human):
+    """args.func of one row.  Coded errors pass through; any other error of
+    the decode step is malformed input."""
+    decode = decoder(decode)
+
+    def run(args):
+        result = op(decode(args))
+        payload = result if encode is None else encode(result)
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            human(payload)
+    return run
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -281,68 +265,35 @@ def build_parser():
         description="Degree-3 tropical rational maps: types, moduli, "
                     "Hurwitz fibers, compactification, ReLU bridge.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, help_, arguments, decode, op, encode, human in COMMANDS:
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("types", cmd_types, help="enumerate combinatorial types")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-breaks", type=int, default=None)
-
-    for name, func, help_ in [
-        ("classify", cmd_classify, "validate a map and identify its type"),
-        ("eval", cmd_eval, "evaluate a map at a point"),
-        ("aut", cmd_aut, "automorphism group of a moduli point"),
-        ("stratum", cmd_stratum, "symmetry stratum of a moduli point"),
-        ("degenerate", cmd_degenerate, "merge two adjacent break points"),
-        ("curve", cmd_curve, "underlying weighted tropical curve"),
-        ("classify-compact", cmd_classify_compact,
-         "boundary stratum of a compactified point"),
-        ("from-relu", cmd_from_relu, "convert a ReLU network to a map"),
-        ("to-relu", cmd_to_relu, "canonical ReLU network of a map"),
-        ("symmetry", cmd_symmetry, "symmetry / pruning report of a network"),
-        ("tropicalize", cmd_tropicalize,
-         "tropicalize a rational function from coefficient data"),
-    ]:
-        p = add(name, func, help=help_)
-        p.add_argument("input", help="JSON file path, or - for stdin")
-        if name == "eval":
-            p.add_argument("--at", required=True)
-        if name == "degenerate":
-            p.add_argument("--merge", type=int, required=True)
-
-    p = add("hurwitz", cmd_hurwitz, help="Hurwitz fiber over a branch configuration")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--branch", help="four branch points p1,p2,p3,p4")
-    group.add_argument("--distances", help="three distances d1,d2,d3")
-
-    p = add("strata", cmd_strata, help="face lattice of a maximal type's cube")
-    p.add_argument("--type", required=True, help="registry label I-V")
-
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, kwargs in arg:
+                    group.add_argument(flag, **kwargs)
+            else:
+                p.add_argument(arg[0], **arg[1])
+        p.set_defaults(func=_runner(decode, op, encode, human))
     return parser
 
 
+def _report(exc):
+    stream = sys.stderr if isinstance(exc, InputError) else sys.stdout
+    print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream)
+    return exc.exit_code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
-        return EXIT_OK
-    except DomainError as exc:
-        print(json.dumps({"error": exc.code}))
-        return EXIT_DOMAIN
-    except (InputError, SchemaError) as exc:
-        print(json.dumps({"error": "invalid-input", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        # domain-level rejection raised by a module (inadmissible map, ...)
-        code = "inadmissible-map" if "inadmissible" in str(exc) else "domain-error"
-        print(json.dumps({"error": code, "detail": str(exc)}))
-        return EXIT_DOMAIN
+        return 0
+    except TropmapsError as exc:
+        return _report(exc)
+    except ValueError as exc:   # an uncoded rejection raised by a module
+        return _report(DomainError(str(exc)))
 
 
 if __name__ == "__main__":

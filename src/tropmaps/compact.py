@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .rational import is_infinite, parse_extended
 from .types_enum import SlopeSequence, canonical_type
 
@@ -36,7 +37,7 @@ class CompactifiedPoint:
         object.__setattr__(self, "extended_gaps", gaps)
         if len(gaps) != 3:
             raise ValueError("need exactly three extended gap coordinates")
-        if any(not is_infinite(g) and g < 0 for g in gaps):
+        if any(g < 0 for g in gaps):
             raise ValueError("gap coordinates must lie in [0, inf]")
 
 
@@ -91,8 +92,8 @@ def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
     collisions = []
     for i, st in enumerate(states, start=1):
         if st == ZERO:
-            same_sign = (jumps[i - 1] > 0) == (jumps[i] > 0)
-            collisions.append((i, VALID_MERGE if same_sign else REDUCED_VARIATION))
+            collisions.append((i, VALID_MERGE if p.seq.jumps_share_sign(i)
+                               else REDUCED_VARIATION))
     infinity = tuple(i for i, st in enumerate(states, start=1) if st == INFINITE)
     merged = _merge_jumps(jumps, [i for i, _ in collisions])
     slopes = [3]
@@ -111,7 +112,8 @@ def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
 def face_lattice(seq: SlopeSequence):
     """All 27 coordinate-state faces of the cube of a four-break type."""
     if seq.k != 4:
-        raise ValueError("face lattice needs a four-break type")
+        raise DomainError("face lattice needs a four-break type, got k=%d" % seq.k,
+                          code="not-a-maximal-type")
     reps = {ZERO: 0, OPEN: 1, INFINITE: float("inf")}
     strata = []
     for a in (ZERO, OPEN, INFINITE):

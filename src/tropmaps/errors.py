@@ -1,0 +1,41 @@
+"""The error model: every failure the package reports carries a stable
+reason code and the exit code the CLI ends with (1 for a domain error,
+2 for malformed input).  The README lists every code.
+"""
+
+from functools import update_wrapper
+
+
+class TropmapsError(ValueError):
+    """A failure with a reason code.  It is a ValueError, so callers that
+    catch ValueError keep working."""
+    code = "domain-error"
+    exit_code = 1
+
+    def __init__(self, detail, code=None):
+        super().__init__(detail)
+        if code is not None:
+            self.code = code
+
+
+class DomainError(TropmapsError):
+    """Well-formed input outside the domain of an operation (exit 1)."""
+
+
+class InputError(TropmapsError):
+    """Malformed input: unreadable, of the wrong shape or unparsable (exit 2)."""
+    code = "invalid-input"
+    exit_code = 2
+
+
+def decoder(fn):
+    """Wrap a decoder so that any KeyError, TypeError or uncoded ValueError
+    it raises becomes an InputError; coded errors pass through."""
+    def decode(*args):
+        try:
+            return fn(*args)
+        except TropmapsError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(str(exc)) from exc
+    return update_wrapper(decode, fn)

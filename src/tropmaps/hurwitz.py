@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
 from .moduli import ModuliPoint
 from .rational import parse_rational
 from .types_enum import SlopeSequence, canonical_type, registry_sequence
 
 TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
 
-WEIGHTED_DEGREE = 9
 
-
-class NonGenericConfiguration(ValueError):
+class NonGenericConfiguration(DomainError):
     """Coincident branch points are outside the generic locus."""
+    code = "non-generic-configuration"
 
 
 @dataclass(frozen=True)

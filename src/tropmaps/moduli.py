@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import DomainError, InputError
 from .plcore import (TropicalMap, break_values, evaluate, is_admissible,
                      ramification)
 from .rational import parse_rational
@@ -21,8 +22,9 @@ TRIVIAL = "trivial"
 Z2 = "z2"
 
 
-class InvalidDegeneration(ValueError):
+class InvalidDegeneration(DomainError):
     """Merging break points whose jumps cancel leaves the moduli space."""
+    code = "invalid-degeneration"
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ def moduli_point(m: TropicalMap) -> ModuliPoint:
     """Forget the anchor (target-translation quotient) and pass to gap coordinates."""
     report = is_admissible(m, 3)
     if not report:
-        raise ValueError("inadmissible map: " + "; ".join(report.reasons))
+        raise DomainError("inadmissible map: " + "; ".join(report.reasons),
+                          code="inadmissible-map")
     seq = SlopeSequence(3, m.slopes)
     gaps = tuple(b - a for a, b in zip(m.break_points, m.break_points[1:]))
     return ModuliPoint(seq, gaps, m.break_points[0])
@@ -140,12 +143,11 @@ def degenerate(p: ModuliPoint, i: int) -> ModuliPoint:
     """
     k = p.seq.k
     if not 1 <= i <= k - 1:
-        raise ValueError("merge index out of range")
-    jumps = p.seq.jumps
-    a, b = jumps[i - 1], jumps[i]
-    if (a > 0) != (b > 0):
+        raise InputError("merge index out of range")
+    if not p.seq.jumps_share_sign(i):
         raise InvalidDegeneration(
-            "jumps %d and %d cancel; the limit has reduced total variation" % (a, b))
+            "jumps %d and %d cancel; the limit has reduced total variation"
+            % p.seq.jumps[i - 1:i + 1])
     slopes = p.seq.slopes[:i] + p.seq.slopes[i + 1:]
     gaps = p.gaps[:i - 1] + p.gaps[i:]
     return ModuliPoint(SlopeSequence(3, slopes), gaps, p.position)

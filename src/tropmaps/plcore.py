@@ -178,11 +178,6 @@ def is_admissible(m: TropicalMap, degree: int) -> AdmissibilityReport:
     return AdmissibilityReport(not reasons, tuple(reasons))
 
 
-def critical_values(m: TropicalMap):
-    """Images of the break points (the branch points of the map)."""
-    return break_values(m)
-
-
 def apply_target_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     """Post-compose with y -> sign*y + shift."""
     if sign not in (1, -1):

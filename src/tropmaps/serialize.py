@@ -2,12 +2,14 @@
 
 Rationals travel as lowest-terms strings ("p/q" or a plain integer),
 slopes as JSON integers.  Every encoder builds its dict in a fixed key
-order so serialized output is byte-stable.
+order so serialized output is byte-stable; every decoder raises InputError
+(alias SchemaError) on malformed input.
 """
 
 from __future__ import annotations
 
 from .compact import CompactifiedPoint
+from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
 from .rational import (NEG_INF, format_extended, format_rational, is_infinite,
@@ -16,8 +18,7 @@ from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
 
-class SchemaError(ValueError):
-    pass
+SchemaError = InputError
 
 
 def _require(obj, key):
@@ -43,13 +44,11 @@ def map_to_json(m: TropicalMap) -> dict:
     }
 
 
+@decoder
 def map_from_json(obj) -> TropicalMap:
-    try:
-        breaks = tuple(parse_rational(x) for x in _require(obj, "breaks"))
-        slopes = _int_slopes(_require(obj, "slopes"))
-        anchor = parse_rational(_require(obj, "anchor"))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    breaks = tuple(parse_rational(x) for x in _require(obj, "breaks"))
+    slopes = _int_slopes(_require(obj, "slopes"))
+    anchor = parse_rational(_require(obj, "anchor"))
     return TropicalMap(breaks, slopes, anchor)
 
 
@@ -61,27 +60,19 @@ def point_to_json(p: ModuliPoint) -> dict:
     }
 
 
+@decoder
 def point_from_json(obj) -> ModuliPoint:
-    try:
-        seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
-        gaps = tuple(parse_rational(g) for g in _require(obj, "gaps"))
-        position = parse_rational(_require(obj, "position"))
-        return ModuliPoint(seq, gaps, position)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
+    gaps = tuple(parse_rational(g) for g in _require(obj, "gaps"))
+    position = parse_rational(_require(obj, "position"))
+    return ModuliPoint(seq, gaps, position)
 
 
+@decoder
 def compact_point_from_json(obj) -> CompactifiedPoint:
-    try:
-        seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
-        gaps = tuple(parse_extended(g) for g in _require(obj, "gaps"))
-        return CompactifiedPoint(seq, gaps)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
+    gaps = tuple(parse_extended(g) for g in _require(obj, "gaps"))
+    return CompactifiedPoint(seq, gaps)
 
 
 def compact_point_to_json(p: CompactifiedPoint) -> dict:
@@ -100,30 +91,22 @@ def network_to_json(net: ReLUNetwork) -> dict:
     }
 
 
+@decoder
 def network_from_json(obj) -> ReLUNetwork:
-    try:
-        units = tuple((parse_rational(_require(u, "w")),
-                       parse_rational(_require(u, "b")),
-                       parse_rational(_require(u, "a")))
-                      for u in _require(obj, "units"))
-        return ReLUNetwork(parse_rational(_require(obj, "base_slope")),
-                           parse_rational(_require(obj, "base_bias")), units)
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    units = tuple((parse_rational(_require(u, "w")),
+                   parse_rational(_require(u, "b")),
+                   parse_rational(_require(u, "a")))
+                  for u in _require(obj, "units"))
+    return ReLUNetwork(parse_rational(_require(obj, "base_slope")),
+                       parse_rational(_require(obj, "base_bias")), units)
 
 
+@decoder
 def polynomial_from_json(values) -> TropicalPolynomial:
-    try:
-        coeffs = []
-        for c in values:
-            v = parse_extended(c)
-            if is_infinite(v) and v != NEG_INF:
-                raise SchemaError("coefficients may be rational or -inf")
-            coeffs.append(v)
-        return TropicalPolynomial(tuple(coeffs))
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    coeffs = []
+    for c in values:
+        v = parse_extended(c)
+        if is_infinite(v) and v != NEG_INF:
+            raise SchemaError("coefficients may be rational or -inf")
+        coeffs.append(v)
+    return TropicalPolynomial(tuple(coeffs))

@@ -39,6 +39,12 @@ class SlopeSequence:
     def jumps(self):
         return tuple(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
+    def jumps_share_sign(self, i) -> bool:
+        """Whether the jumps at breaks i and i+1 (gap i, 1-based) share a sign,
+        so the breaks can collide without reducing the total variation."""
+        jumps = self.jumps
+        return (jumps[i - 1] > 0) == (jumps[i] > 0)
+
     def reversed_(self) -> "SlopeSequence":
         return SlopeSequence(self.degree, tuple(reversed(self.slopes)))
 
@@ -135,11 +141,6 @@ def registry_sequence(label: str) -> SlopeSequence:
         if lab == label:
             return SlopeSequence(3, slopes)
     raise KeyError("unknown degree-3 type label: %r" % label)
-
-
-def slope_bound_check(seq: SlopeSequence) -> bool:
-    """Degree-3 slope bound: every slope within 2 of the degree."""
-    return all(abs(s - 3) <= 2 for s in seq.slopes)
 
 
 def _search_jumps(degree, max_breaks):

@@ -13,11 +13,12 @@ from fractions import Fraction
 from tropmaps import (BranchConfiguration, InvalidDegeneration, ModuliPoint,
                       TropicalMap, TropicalPolynomial, automorphisms,
                       branch_configuration, canonical_type, cli,
-                      critical_values, degenerate, enumerate_types, evaluate,
+                      degenerate, enumerate_types, evaluate,
                       face_lattice, fiber, hurwitz_number, maps_equal,
                       map_to_network, moduli_point, network_to_map,
                       registry_d3, registry_sequence, representative_map,
                       tropical_polynomial_evaluate, tropicalize_rational)
+from tropmaps.plcore import break_values
 from conftest import example_formula, random_fraction
 from test_types_enum import THEOREM_SEQUENCES, oracle_types
 
@@ -77,7 +78,7 @@ def test_criterion_04_example_reproduction():
         m = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)
         for x in [-1, 0, Fraction(1, 2), 1, 2, 3, Fraction(7, 2), 4, 5]:
             assert evaluate(m, x) == example_formula(x)
-        assert critical_values(m) == [0, 4, 14, 18]
+        assert break_values(m) == [0, 4, 14, 18]
         g = automorphisms(moduli_point(m))
         assert g.kind == "z2"
         samples = list(m.break_points)

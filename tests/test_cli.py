@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from tropmaps import cli
+from tropmaps import TropicalMap, cli, moduli_point
 
 EXAMPLE_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3],
                "anchor": "0"}
@@ -218,3 +219,49 @@ class TestDeterminism:
         _, a = run(capsys, *argv, "--json")
         _, b = run(capsys, *argv, "--json")
         assert a == b
+
+
+INVALID_MAP = {"breaks": ["1", "0"], "slopes": [3, 4, 3], "anchor": "0"}
+
+
+def run_stdin(capsys, monkeypatch, argv, obj=None):
+    text = obj if isinstance(obj, str) else json.dumps(obj)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize("error, exit_code, stream, argv, stdin", [
+        ("invalid-input", 2, "err", ("classify", "-"), "{not json"),
+        ("invalid-map", 1, "out", ("eval", "-", "--at", "2"), INVALID_MAP),
+        ("invalid-degeneration", 1, "out", ("degenerate", "-", "--merge", "2"),
+         EXAMPLE_POINT),
+        ("non-generic-configuration", 1, "out", ("hurwitz", "--distances", "1,0,1"), None),
+        ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
+        ("domain-error", 1, "out", ("types", "--degree", "0"), None),
+    ])
+    def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
+                                  stream, argv, stdin):
+        code, out, err = run_stdin(capsys, monkeypatch, argv, stdin)
+        shown, silent = (err, out) if stream == "err" else (out, err)
+        assert code == exit_code and silent == ""
+        payload = json.loads(shown)
+        assert payload["error"] == error and payload["detail"]
+
+    def test_inadmissible_map_has_no_subcommand(self):
+        with pytest.raises(cli.DomainError) as info:
+            moduli_point(TropicalMap((0,), (3, 2), 0))
+        assert info.value.code == "inadmissible-map" and info.value.exit_code == 1
+
+    @pytest.mark.parametrize("argv, obj", [
+        (("classify", "-"), {"breaks": 5, "slopes": [3], "anchor": "0"}),
+        (("aut", "-"), {"slopes": 5, "gaps": ["1"], "position": "0"}),
+        (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": 5}),
+        (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "-inf", "1"]}),
+    ])
+    def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
+        code, out, err = run_stdin(capsys, monkeypatch, argv, obj)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"

@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from tropmaps import (CompactifiedPoint, SlopeSequence, classify_stratum,
-                      face_lattice, registry_d3, registry_sequence)
+from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint,
+                      SlopeSequence, classify_stratum, degenerate, face_lattice,
+                      registry_d3, registry_sequence)
 
 INF = math.inf
 DEGENERATE_LABELS = {"VI", "VII", "VIII", "IX", "X"}
@@ -62,6 +63,23 @@ class TestClassifyStratum:
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError):
             cp("I", (-1, 1, 1))
+        with pytest.raises(ValueError):
+            cp("I", (1, -INF, 1))
+
+    @pytest.mark.parametrize("label", ["I", "II", "III", "IV", "V"])
+    def test_degenerate_agrees_with_one_zero_face(self, label):
+        # oracle: merging the breaks of gap i in the moduli space succeeds
+        # exactly when the face with only gap i at zero is a valid merge
+        for i in (1, 2, 3):
+            gaps = tuple(0 if j == i else 1 for j in (1, 2, 3))
+            face = classify_stratum(cp(label, gaps))
+            try:
+                q = degenerate(ModuliPoint(registry_sequence(label), (1, 1, 1), 0), i)
+            except InvalidDegeneration:
+                assert face.collisions == ((i, "reduced-variation"),)
+            else:
+                assert face.collisions == ((i, "valid-merge"),)
+                assert q.seq.slopes == face.limit_slopes
 
 
 class TestFaceLattice:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tropmaps import (TropicalMap, TropicalPolynomial, apply_source_automorphism,
-                      apply_target_automorphism, critical_values, evaluate,
+                      apply_target_automorphism, evaluate,
                       is_admissible, maps_equal, ramification,
                       tropical_polynomial_evaluate, tropicalize_rational,
                       validate)
+from tropmaps.plcore import break_values
 from conftest import example_formula
 
 NEG_INF = -math.inf
@@ -92,13 +93,13 @@ class TestAdmissibility:
 
 class TestCriticalValues:
     def test_example(self, example_map):
-        assert critical_values(example_map) == [0, 4, 14, 18]
+        assert break_values(example_map) == [0, 4, 14, 18]
 
     def test_two_breaks(self):
-        assert critical_values(TropicalMap((0, 1), (3, 5, 3), 0)) == [0, 5]
+        assert break_values(TropicalMap((0, 1), (3, 5, 3), 0)) == [0, 5]
 
     def test_break_free(self):
-        assert critical_values(TropicalMap((), (3,), 0)) == []
+        assert break_values(TropicalMap((), (3,), 0)) == []
 
 
 class TestAutomorphismActions:

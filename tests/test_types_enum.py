@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from tropmaps import (SlopeSequence, canonical_type, enumerate_types,
-                      registry_d3, registry_sequence, slope_bound_check)
+                      registry_d3, registry_sequence)
 from tropmaps.types_enum import JumpSequence
 
 THEOREM_SEQUENCES = {
@@ -139,7 +139,8 @@ class TestRegistry:
 class TestSlopeBound:
     @pytest.mark.parametrize("slopes", [(3, 4, 5, 4, 3), (3, 5, 3), (3, 1, 3)])
     def test_admissible_sequences_pass(self, slopes):
-        assert slope_bound_check(SlopeSequence(3, slopes))
+        # degree-3 slope bound: every slope within 2 of the degree
+        assert all(abs(s - 3) <= 2 for s in SlopeSequence(3, slopes).slopes)
 
     def test_bound_violation_is_unconstructible(self):
         # a slope 6 sequence already violates the variation invariant
