@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InputError
-from .plcore import (TropicalMap, break_values, evaluate, is_admissible,
-                     ramification)
+from .plcore import TropicalMap, evaluate, is_admissible, ramification
 from .rational import parse_rational
-from .types_enum import SlopeSequence
+from .types_enum import SlopeSequence, _is_palindrome
 
 TRIVIAL = "trivial"
 Z2 = "z2"
@@ -107,14 +106,12 @@ def _check_reflection(m: TropicalMap, center, shift):
 
 def automorphisms(p: ModuliPoint) -> AutGroup:
     """Z/2 exactly when both the slope sequence and the gap vector are palindromic."""
-    if p.seq.slopes != tuple(reversed(p.seq.slopes)):
-        return AutGroup(TRIVIAL)
-    if p.gaps != tuple(reversed(p.gaps)):
+    if not (_is_palindrome(p.seq.slopes) and _is_palindrome(p.gaps)):
         return AutGroup(TRIVIAL)
     m = representative_map(p)
     xs = m.break_points
     center = (xs[0] + xs[-1]) / 2
-    vals = break_values(m)
+    vals = m.break_point_values
     shift = vals[0] + vals[-1]
     if not _check_reflection(m, center, shift):
         raise AssertionError("palindromic data without a working reflection")
@@ -168,9 +165,6 @@ def curve_automorphisms(c: WeightedTropicalCurve) -> str:
     dilations = tuple(d for _, d in c.bounded_edges)
     weights = tuple(w for _, w in c.finite_vertices)
     leaves = c.leaf_dilations
-    if (lengths == tuple(reversed(lengths))
-            and dilations == tuple(reversed(dilations))
-            and weights == tuple(reversed(weights))
-            and leaves == tuple(reversed(leaves))):
+    if all(_is_palindrome(t) for t in (lengths, dilations, weights, leaves)):
         return Z2
     return TRIVIAL

@@ -5,6 +5,8 @@ increasing rational break points, one slope per maximal linear segment
 (one more slope than break points), and the value at the first break
 point (at 0 for break-free maps).  Continuity holds by construction;
 every other value is obtained by integrating the slopes from the anchor.
+The values at the break points are derived once per map, on first use,
+so each later evaluation is a bisection plus one multiply and one add.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from .errors import InputError
 from .rational import NEG_INF, POS_INF, is_infinite, parse_rational
 
 
@@ -52,6 +56,15 @@ class TropicalMap:
     def k(self):
         """Number of break points."""
         return len(self.break_points)
+
+    @cached_property
+    def break_point_values(self):
+        """break_values(self) as a tuple, computed on first use and kept.
+
+        It is stored in the instance __dict__, not as a field, so ==, hash
+        and repr still see only the three fields.
+        """
+        return tuple(break_values(self))
 
 
 @dataclass(frozen=True)
@@ -103,7 +116,7 @@ def validate(m: TropicalMap) -> ValidationReport:
         if not isinstance(x, Fraction):
             problems.append("non-rational break point: %r" % (x,))
     for s in m.slopes:
-        if not isinstance(s, int):
+        if not isinstance(s, int) or isinstance(s, bool):
             problems.append("non-integer slope: %r" % (s,))
     if not isinstance(m.anchor_value, Fraction):
         problems.append("non-rational anchor: %r" % (m.anchor_value,))
@@ -128,7 +141,10 @@ def break_values(m: TropicalMap):
 
 
 def evaluate(m: TropicalMap, x):
-    """Evaluate at a rational or at +/-inf (extended-value boundaries)."""
+    """Evaluate at a rational or at +/-inf (extended-value boundaries).
+
+    Any other argument, a finite float or a bool included, raises InputError.
+    """
     if is_infinite(x):
         s = m.slopes[-1] if x > 0 else m.slopes[0]
         if x > 0:
@@ -136,17 +152,20 @@ def evaluate(m: TropicalMap, x):
                 return POS_INF
             if s < 0:
                 return NEG_INF
-            return break_values(m)[-1] if m.break_points else m.anchor_value
+            return m.break_point_values[-1] if m.break_points else m.anchor_value
         if s > 0:
             return NEG_INF
         if s < 0:
             return POS_INF
-        return break_values(m)[0] if m.break_points else m.anchor_value
+        return m.break_point_values[0] if m.break_points else m.anchor_value
 
-    x = _coerce_scalar(x)
+    try:
+        x = parse_rational(x)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if not m.break_points:
         return m.anchor_value + m.slopes[0] * x
-    vals = break_values(m)
+    vals = m.break_point_values
     if x <= m.break_points[0]:
         return vals[0] + m.slopes[0] * (x - m.break_points[0])
     if x >= m.break_points[-1]:
@@ -207,7 +226,7 @@ def apply_source_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
                            m.anchor_value + m.slopes[0] * shift)
     new_breaks = tuple(shift - x for x in reversed(m.break_points))
     new_slopes = tuple(-s for s in reversed(m.slopes))
-    new_anchor = break_values(m)[-1]
+    new_anchor = m.break_point_values[-1]
     return TropicalMap(new_breaks, new_slopes, new_anchor)
 
 

@@ -104,6 +104,11 @@ _REGISTRY_D3 = (
 )
 
 
+def _is_palindrome(t):
+    """Whether a sequence reads the same reversed."""
+    return t == t[::-1]
+
+
 def _canonical_slopes(slopes):
     rev = tuple(reversed(slopes))
     return min(slopes, rev)
@@ -117,7 +122,7 @@ _D3_LABEL_BY_CANONICAL = {
 def canonical_type(seq: SlopeSequence) -> CombinatorialType:
     """Reversal class of a sequence: lexicographic minimum of it and its reversal."""
     canon = _canonical_slopes(seq.slopes)
-    palindromic = seq.slopes == tuple(reversed(seq.slopes))
+    palindromic = _is_palindrome(seq.slopes)
     label = None
     if seq.degree == 3:
         label = _D3_LABEL_BY_CANONICAL.get(canon)
@@ -131,7 +136,7 @@ def registry_d3():
     for label, slopes in _REGISTRY_D3:
         seq = SlopeSequence(3, slopes)
         canon = SlopeSequence(3, _canonical_slopes(slopes))
-        out.append(CombinatorialType(canon, slopes == tuple(reversed(slopes)),
+        out.append(CombinatorialType(canon, _is_palindrome(slopes),
                                      label, representative=seq))
     return out
 

@@ -260,6 +260,7 @@ class TestErrorCodes:
         (("aut", "-"), {"slopes": 5, "gaps": ["1"], "position": "0"}),
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": 5}),
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "-inf", "1"]}),
+        pytest.param(("classify", "-"), "[" * 100000, id="nested-100000-deep"),
     ])
     def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
         code, out, err = run_stdin(capsys, monkeypatch, argv, obj)

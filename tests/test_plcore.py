@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,13 +7,29 @@ from hypothesis import given, strategies as st
 
 from tropmaps import (TropicalMap, TropicalPolynomial, apply_source_automorphism,
                       apply_target_automorphism, evaluate,
-                      is_admissible, maps_equal, ramification,
+                      is_admissible, map_to_network, maps_equal, ramification,
                       tropical_polynomial_evaluate, tropicalize_rational,
                       validate)
+from tropmaps import plcore
+from tropmaps.errors import InputError
 from tropmaps.plcore import break_values
 from conftest import example_formula
 
 NEG_INF = -math.inf
+
+RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=12)
+
+
+@st.composite
+def valid_maps(draw):
+    """Valid maps with up to 40 breaks: any integer start slope, nonzero jumps."""
+    breaks = sorted(draw(st.lists(RATIONALS, unique=True, max_size=40)))
+    jumps = draw(st.lists(st.integers(-5, 5).filter(bool),
+                          min_size=len(breaks), max_size=len(breaks)))
+    slopes = [draw(st.integers(-5, 5))]
+    for j in jumps:
+        slopes.append(slopes[-1] + j)
+    return TropicalMap(tuple(breaks), tuple(slopes), draw(RATIONALS))
 
 
 class TestEvaluate:
@@ -43,6 +60,59 @@ class TestEvaluate:
             v = evaluate(example_map, x)
             assert abs(left - v) <= 5 * eps and abs(right - v) <= 5 * eps
 
+    @pytest.mark.parametrize("x", [0.5, True, "1/0"])
+    def test_rejects_non_exact_arguments(self, example_map, x):
+        with pytest.raises(InputError):
+            evaluate(example_map, x)
+
+    @given(m=valid_maps(), x=RATIONALS, c=RATIONALS)
+    def test_against_relu_oracle(self, m, x, c):
+        assert validate(m).ok
+        value = evaluate(m, x)
+        assert value == map_to_network(m).evaluate(x)
+        # a second evaluation, served from the map's cached break values,
+        # agrees with a freshly built equal map
+        assert evaluate(m, x) == value
+        assert evaluate(TropicalMap(m.break_points, m.slopes, m.anchor_value), x) == value
+        assert evaluate(apply_source_automorphism(m, -1, c), x) == evaluate(m, c - x)
+
+
+class TestBreakValueCache:
+    @staticmethod
+    def big_map():
+        breaks = tuple(Fraction(i, 3) for i in range(2000))
+        slopes = tuple(3 + i % 2 for i in range(2001))
+        return TropicalMap(breaks, slopes, Fraction(1, 7))
+
+    def test_prefix_pass_runs_once_on_first_use(self, monkeypatch):
+        calls = []
+        real = plcore.break_values
+        monkeypatch.setattr(plcore, "break_values",
+                            lambda m: calls.append(m) or real(m))
+        m = self.big_map()
+        assert calls == []  # built, not yet evaluated: nothing computed
+        xs = m.break_points[::20]
+        got = [evaluate(m, x) for x in xs]
+        assert len(calls) == 1
+        assert got == real(m)[::20]
+
+    def test_cache_is_invisible(self):
+        m = self.big_map()
+        fresh = TropicalMap(m.break_points, m.slopes, m.anchor_value)
+        seen = (hash(m), repr(m))
+        evaluate(m, 5)
+        assert m == fresh and fresh == m
+        assert (hash(m), repr(m)) == seen == (hash(fresh), repr(fresh))
+        assert len(dataclasses.fields(m)) == 3
+
+    def test_replace_evaluates_from_new_anchor(self):
+        m = TropicalMap((0, 1), (0, 1, 0), 2)
+        assert evaluate(m, math.inf) == 3
+        moved = dataclasses.replace(m, anchor_value=5)
+        assert evaluate(moved, -math.inf) == 5 and evaluate(moved, math.inf) == 6
+        assert evaluate(moved, Fraction(1, 2)) == Fraction(11, 2)
+        assert apply_source_automorphism(moved, -1, 0).anchor_value == 6
+
 
 class TestValidate:
     def test_example_valid(self, example_map):
@@ -62,6 +132,10 @@ class TestValidate:
     def test_non_integer_slope(self):
         r = validate(TropicalMap((0,), (3, Fraction(7, 2)), 0))
         assert not r.ok and any("non-integer" in p for p in r.problems)
+
+    def test_bool_slope(self):
+        r = validate(TropicalMap((), (True,), 0))
+        assert not r.ok and r.problems == ("non-integer slope: True",)
 
 
 class TestRamification:
