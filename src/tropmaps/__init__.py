@@ -7,7 +7,7 @@ from .plcore import (TropicalMap, TropicalPolynomial, RamificationProfile,
                      apply_target_automorphism,
                      apply_source_automorphism, maps_equal,
                      tropical_polynomial_evaluate, tropicalize_rational)
-from .types_enum import (SlopeSequence, JumpSequence, CombinatorialType,
+from .types_enum import (SlopeSequence, CombinatorialType,
                          enumerate_types, canonical_type, registry_d3,
                          registry_sequence)
 from .moduli import (ModuliPoint, AutGroup, StratumDescriptor,

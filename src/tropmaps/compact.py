@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .rational import is_infinite, parse_extended
-from .types_enum import SlopeSequence, canonical_type
+from .types_enum import SlopeSequence, _admissibility_reasons, canonical_type
 
 ZERO = "zero"
 OPEN = "open"
@@ -99,8 +99,7 @@ def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
     slopes = [3]
     for j in merged:
         slopes.append(slopes[-1] + j)
-    variation = sum(abs(j) for j in merged)
-    in_moduli = variation == 4
+    in_moduli = not _admissibility_reasons(3, slopes)
     label = None
     if in_moduli:
         label = canonical_type(SlopeSequence(3, tuple(slopes))).label

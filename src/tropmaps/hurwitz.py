@@ -15,7 +15,8 @@ from fractions import Fraction
 from .errors import DomainError
 from .moduli import ModuliPoint
 from .rational import parse_rational
-from .types_enum import SlopeSequence, canonical_type, registry_sequence
+from .types_enum import (SlopeSequence, _reversal_min, canonical_type,
+                         registry_sequence)
 
 TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
 
@@ -73,12 +74,8 @@ def quotient_source(p: ModuliPoint) -> QuotientedModuliPoint:
     reflection, which keeps slopes positive); the representative is the
     lexicographic minimum of the pair.
     """
-    forward = (p.seq.slopes, p.gaps)
-    backward = (tuple(reversed(p.seq.slopes)), tuple(reversed(p.gaps)))
-    if backward < forward:
-        return QuotientedModuliPoint(SlopeSequence(3, backward[0]),
-                                     backward[1], True)
-    return QuotientedModuliPoint(SlopeSequence(3, forward[0]), forward[1], False)
+    (slopes, gaps), reversed_ = _reversal_min(p.seq.slopes, p.gaps)
+    return QuotientedModuliPoint(SlopeSequence(3, slopes), gaps, reversed_)
 
 
 def branch_configuration(p: ModuliPoint) -> BranchConfiguration:

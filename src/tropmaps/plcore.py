@@ -18,25 +18,14 @@ from functools import cached_property
 
 from .errors import InputError
 from .rational import NEG_INF, POS_INF, is_infinite, parse_rational
+from .types_enum import _admissibility_reasons
 
 
-def _coerce_scalar(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
-    return x  # left as-is so validate() can flag it
-
-
-def _coerce_slope(s):
+def _parse_slope(s):
     # Integer slopes collapse to int; non-integer rationals are kept so
     # that validate() and the ReLU admissibility report can see them.
-    s = _coerce_scalar(s)
-    if isinstance(s, Fraction) and s.denominator == 1:
-        return int(s)
-    return s
+    s = parse_rational(s)
+    return int(s) if s.denominator == 1 else s
 
 
 @dataclass(frozen=True)
@@ -47,10 +36,10 @@ class TropicalMap:
 
     def __post_init__(self):
         object.__setattr__(self, "break_points",
-                           tuple(_coerce_scalar(x) for x in self.break_points))
+                           tuple(parse_rational(x) for x in self.break_points))
         object.__setattr__(self, "slopes",
-                           tuple(_coerce_slope(s) for s in self.slopes))
-        object.__setattr__(self, "anchor_value", _coerce_scalar(self.anchor_value))
+                           tuple(_parse_slope(s) for s in self.slopes))
+        object.__setattr__(self, "anchor_value", parse_rational(self.anchor_value))
 
     @property
     def k(self):
@@ -73,7 +62,7 @@ class TropicalPolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(c if is_infinite(c) else _coerce_scalar(c)
+        coeffs = tuple(c if is_infinite(c) else parse_rational(c)
                        for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if not any(not is_infinite(c) for c in coeffs):
@@ -112,16 +101,11 @@ def validate(m: TropicalMap) -> ValidationReport:
     problems = []
     if len(m.slopes) != len(m.break_points) + 1:
         problems.append("slope count must be break count + 1")
-    for x in m.break_points:
-        if not isinstance(x, Fraction):
-            problems.append("non-rational break point: %r" % (x,))
     for s in m.slopes:
-        if not isinstance(s, int) or isinstance(s, bool):
+        if not isinstance(s, int):
             problems.append("non-integer slope: %r" % (s,))
-    if not isinstance(m.anchor_value, Fraction):
-        problems.append("non-rational anchor: %r" % (m.anchor_value,))
     for a, b in zip(m.break_points, m.break_points[1:]):
-        if isinstance(a, Fraction) and isinstance(b, Fraction) and a >= b:
+        if a >= b:
             problems.append("break points not strictly increasing at %s" % (b,))
     for a, b in zip(m.slopes, m.slopes[1:]):
         if a == b:
@@ -180,20 +164,12 @@ def ramification(m: TropicalMap) -> RamificationProfile:
 
 
 def is_admissible(m: TropicalMap, degree: int) -> AdmissibilityReport:
-    """Degree-d admissibility: end slopes d, all slopes >= 1, total ramification 2d-2."""
-    reasons = []
+    """Degree-d admissibility of the slope sequence (end slopes d, all slopes
+    >= 1, total ramification 2d-2); an invalid map reports its validation
+    problems instead."""
     report = validate(m)
-    if not report:
-        reasons.extend(report.problems)
-    else:
-        if m.slopes[0] != degree or m.slopes[-1] != degree:
-            reasons.append("end slopes (%r, %r) differ from degree %d"
-                           % (m.slopes[0], m.slopes[-1], degree))
-        if any(s < 1 for s in m.slopes):
-            reasons.append("non-positive slope present")
-        total = ramification(m).total
-        if total != 2 * degree - 2:
-            reasons.append("total ramification %d != %d" % (total, 2 * degree - 2))
+    reasons = (report.problems if not report
+               else _admissibility_reasons(degree, m.slopes))
     return AdmissibilityReport(not reasons, tuple(reasons))
 
 
@@ -201,7 +177,7 @@ def apply_target_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     """Post-compose with y -> sign*y + shift."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shift = _coerce_scalar(shift)
+    shift = parse_rational(shift)
     return TropicalMap(m.break_points,
                        tuple(sign * s for s in m.slopes),
                        sign * m.anchor_value + shift)
@@ -211,7 +187,7 @@ def apply_source_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     """Pre-compose with x -> sign*x + shift, i.e. return x -> phi(sign*x + shift)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    shift = _coerce_scalar(shift)
+    shift = parse_rational(shift)
     if sign == 1:
         if not m.break_points:
             return TropicalMap((), m.slopes,
@@ -238,7 +214,7 @@ def maps_equal(a: TropicalMap, b: TropicalMap) -> bool:
 
 def tropical_polynomial_evaluate(p: TropicalPolynomial, x):
     """max_i (a_i + i*x) over the finite coefficients."""
-    x = _coerce_scalar(x)
+    x = parse_rational(x)
     return max(c + i * x for i, c in enumerate(p.coefficients)
                if not is_infinite(c))
 

@@ -6,6 +6,7 @@ used at evaluation boundaries.
 """
 
 import math
+import re
 from fractions import Fraction
 
 POS_INF = math.inf
@@ -16,17 +17,30 @@ def is_infinite(x):
     return isinstance(x, float) and math.isinf(x)
 
 
+# The one string form of a rational: optional sign, decimal digits, and an
+# optional "/" and decimal denominator.  Fraction() would also take decimal
+# points, exponents and digit-group underscores; those are rejected.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(value):
-    """Parse a JSON scalar ("p/q", decimal-integer string, or int) to a Fraction."""
+    """Parse a JSON scalar to a Fraction: an int, a Fraction, or a string
+    "[+-]digits[/digits]" with surrounding whitespace stripped.
+
+    Numerator and denominator are bounded by the interpreter's limit on
+    int-string conversion digits; anything else raises ValueError.
+    """
     if isinstance(value, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    match = _RATIONAL.fullmatch(value.strip()) if isinstance(value, str) else None
+    if match:
+        num, den = match.groups()
         try:
-            return Fraction(value.strip())
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not a rational: %r" % value) from exc
     raise ValueError("not a rational: %r" % (value,))

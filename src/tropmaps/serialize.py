@@ -12,8 +12,7 @@ from .compact import CompactifiedPoint
 from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
-from .rational import (NEG_INF, format_extended, format_rational, is_infinite,
-                       parse_extended, parse_rational)
+from .rational import NEG_INF, format_rational, is_infinite, parse_extended
 from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
@@ -46,10 +45,9 @@ def map_to_json(m: TropicalMap) -> dict:
 
 @decoder
 def map_from_json(obj) -> TropicalMap:
-    breaks = tuple(parse_rational(x) for x in _require(obj, "breaks"))
-    slopes = _int_slopes(_require(obj, "slopes"))
-    anchor = parse_rational(_require(obj, "anchor"))
-    return TropicalMap(breaks, slopes, anchor)
+    return TropicalMap(_require(obj, "breaks"),
+                       _int_slopes(_require(obj, "slopes")),
+                       _require(obj, "anchor"))
 
 
 def point_to_json(p: ModuliPoint) -> dict:
@@ -62,24 +60,18 @@ def point_to_json(p: ModuliPoint) -> dict:
 
 @decoder
 def point_from_json(obj) -> ModuliPoint:
-    seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
-    gaps = tuple(parse_rational(g) for g in _require(obj, "gaps"))
-    position = parse_rational(_require(obj, "position"))
-    return ModuliPoint(seq, gaps, position)
+    return ModuliPoint(SlopeSequence(3, _int_slopes(_require(obj, "slopes"))),
+                       _require(obj, "gaps"), _require(obj, "position"))
 
 
 @decoder
 def compact_point_from_json(obj) -> CompactifiedPoint:
     seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
+    # Parsed here as well as in the constructor: JSON Infinity loads as the
+    # float inf, which the constructor takes from python callers, while the
+    # schema's infinite gap is the string "inf".
     gaps = tuple(parse_extended(g) for g in _require(obj, "gaps"))
     return CompactifiedPoint(seq, gaps)
-
-
-def compact_point_to_json(p: CompactifiedPoint) -> dict:
-    return {
-        "slopes": list(p.seq.slopes),
-        "gaps": [format_extended(g) for g in p.extended_gaps],
-    }
 
 
 def network_to_json(net: ReLUNetwork) -> dict:
@@ -93,12 +85,9 @@ def network_to_json(net: ReLUNetwork) -> dict:
 
 @decoder
 def network_from_json(obj) -> ReLUNetwork:
-    units = tuple((parse_rational(_require(u, "w")),
-                   parse_rational(_require(u, "b")),
-                   parse_rational(_require(u, "a")))
+    units = tuple((_require(u, "w"), _require(u, "b"), _require(u, "a"))
                   for u in _require(obj, "units"))
-    return ReLUNetwork(parse_rational(_require(obj, "base_slope")),
-                       parse_rational(_require(obj, "base_bias")), units)
+    return ReLUNetwork(_require(obj, "base_slope"), _require(obj, "base_bias"), units)
 
 
 @decoder

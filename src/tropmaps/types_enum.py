@@ -12,6 +12,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+def _admissibility_reasons(degree, slopes):
+    """Every reason a slope sequence fails degree-d admissibility: end
+    slopes d, all slopes >= 1, no zero jump, total ramification 2d-2.
+    The list is empty exactly when the sequence is admissible."""
+    if not slopes:
+        return ["empty slope sequence"]
+    reasons = []
+    if slopes[0] != degree or slopes[-1] != degree:
+        reasons.append("end slopes (%r, %r) differ from degree %d"
+                       % (slopes[0], slopes[-1], degree))
+    if any(s < 1 for s in slopes):
+        reasons.append("non-positive slope present")
+    if any(a == b for a, b in zip(slopes, slopes[1:])):
+        reasons.append("zero jump (repeated consecutive slope)")
+    total = sum(abs(b - a) for a, b in zip(slopes, slopes[1:]))
+    if total != 2 * degree - 2:
+        reasons.append("total ramification %d != %d" % (total, 2 * degree - 2))
+    return reasons
+
+
 @dataclass(frozen=True)
 class SlopeSequence:
     degree: int
@@ -19,17 +39,9 @@ class SlopeSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "slopes", tuple(int(s) for s in self.slopes))
-        d, s = self.degree, self.slopes
-        if d < 1:
-            raise ValueError("degree must be positive")
-        if not s or s[0] != d or s[-1] != d:
-            raise ValueError("end slopes must equal the degree")
-        if any(x < 1 for x in s):
-            raise ValueError("slopes must be positive")
-        if any(a == b for a, b in zip(s, s[1:])):
-            raise ValueError("consecutive slopes must differ")
-        if sum(abs(b - a) for a, b in zip(s, s[1:])) != 2 * d - 2:
-            raise ValueError("total variation must be 2d-2")
+        reasons = _admissibility_reasons(self.degree, self.slopes)
+        if reasons:
+            raise ValueError("; ".join(reasons))
 
     @property
     def k(self):
@@ -47,33 +59,6 @@ class SlopeSequence:
 
     def reversed_(self) -> "SlopeSequence":
         return SlopeSequence(self.degree, tuple(reversed(self.slopes)))
-
-
-@dataclass(frozen=True)
-class JumpSequence:
-    degree: int
-    jumps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "jumps", tuple(int(j) for j in self.jumps))
-        d, js = self.degree, self.jumps
-        if any(j == 0 for j in js):
-            raise ValueError("jumps must be nonzero")
-        if sum(abs(j) for j in js) != 2 * d - 2:
-            raise ValueError("total variation must be 2d-2")
-        if sum(js) != 0:
-            raise ValueError("jumps must sum to zero")
-        s = d
-        for j in js:
-            s += j
-            if s < 1:
-                raise ValueError("partial slope drops below 1")
-
-    def slope_sequence(self) -> SlopeSequence:
-        slopes = [self.degree]
-        for j in self.jumps:
-            slopes.append(slopes[-1] + j)
-        return SlopeSequence(self.degree, tuple(slopes))
 
 
 @dataclass(frozen=True)
@@ -109,36 +94,32 @@ def _is_palindrome(t):
     return t == t[::-1]
 
 
-def _canonical_slopes(slopes):
-    rev = tuple(reversed(slopes))
-    return min(slopes, rev)
+def _reversal_min(*parts):
+    """The lexicographic minimum of the sequences `parts` and their
+    simultaneous reversal, and whether that minimum is the reversal.  A
+    palindromic tie keeps the forward orientation."""
+    backward = tuple(p[::-1] for p in parts)
+    if backward < parts:
+        return backward, True
+    return parts, False
 
 
 _D3_LABEL_BY_CANONICAL = {
-    _canonical_slopes(slopes): label for label, slopes in _REGISTRY_D3
+    _reversal_min(slopes)[0][0]: label for label, slopes in _REGISTRY_D3
 }
 
 
 def canonical_type(seq: SlopeSequence) -> CombinatorialType:
     """Reversal class of a sequence: lexicographic minimum of it and its reversal."""
-    canon = _canonical_slopes(seq.slopes)
-    palindromic = _is_palindrome(seq.slopes)
-    label = None
-    if seq.degree == 3:
-        label = _D3_LABEL_BY_CANONICAL.get(canon)
-    return CombinatorialType(SlopeSequence(seq.degree, canon), palindromic,
-                             label, representative=seq)
+    (canon,), reversed_ = _reversal_min(seq.slopes)
+    label = _D3_LABEL_BY_CANONICAL.get(canon) if seq.degree == 3 else None
+    return CombinatorialType(SlopeSequence(seq.degree, canon) if reversed_ else seq,
+                             _is_palindrome(seq.slopes), label, representative=seq)
 
 
 def registry_d3():
     """The ten labeled degree-3 types, in registry order I-X."""
-    out = []
-    for label, slopes in _REGISTRY_D3:
-        seq = SlopeSequence(3, slopes)
-        canon = SlopeSequence(3, _canonical_slopes(slopes))
-        out.append(CombinatorialType(canon, _is_palindrome(slopes),
-                                     label, representative=seq))
-    return out
+    return [canonical_type(SlopeSequence(3, slopes)) for _, slopes in _REGISTRY_D3]
 
 
 def registry_sequence(label: str) -> SlopeSequence:
@@ -148,38 +129,32 @@ def registry_sequence(label: str) -> SlopeSequence:
     raise KeyError("unknown degree-3 type label: %r" % label)
 
 
-def _search_jumps(degree, max_breaks):
-    """Depth-first search over jump sequences with the variation budget."""
+def _admissible_sequences(degree, max_breaks):
+    """Depth-first search over the admissible slope tuples with at most
+    max_breaks breaks: each step spends |jump| of the variation budget
+    2d-2 and must leave enough of it to return to slope d."""
     budget = 2 * degree - 2
-    found = []
 
-    def extend(jumps, slope, used):
-        if used == budget and slope == degree:
-            found.append(tuple(jumps))
-        if len(jumps) >= max_breaks or used >= budget:
-            return
+    def extend(slopes, used):
+        s = slopes[-1]
+        if used == budget and s == degree:
+            yield slopes
         remaining = budget - used
-        for j in range(-remaining, remaining + 1):
-            if j == 0 or slope + j < 1:
-                continue
-            # must still be able to return to the degree slope
-            if abs(j) + abs(degree - (slope + j)) > remaining:
-                continue
-            jumps.append(j)
-            extend(jumps, slope + j, used + abs(j))
-            jumps.pop()
+        if len(slopes) > max_breaks or remaining == 0:
+            return
+        for t in range(1, s + remaining + 1):
+            if t != s and abs(t - s) + abs(degree - t) <= remaining:
+                yield from extend(slopes + (t,), used + abs(t - s))
 
-    if budget == 0:
-        return [()]
-    extend([], degree, 0)
-    return found
+    return extend((degree,), 0)
 
 
 def enumerate_types(degree: int, max_breaks: Optional[int] = None):
     """All combinatorial types of the given degree, up to reversal.
 
     Search space is finite since each jump contributes at least 1 to the
-    variation budget 2d-2.  Output order: k descending, then canonical
+    variation budget 2d-2.  Each reversal class is kept once, in its
+    canonical orientation.  Output order: k descending, then canonical
     sequences lexicographically.
     """
     if degree < 1:
@@ -187,11 +162,7 @@ def enumerate_types(degree: int, max_breaks: Optional[int] = None):
     cap = 2 * degree - 2
     if max_breaks is not None:
         cap = min(cap, max_breaks)
-    seen = {}
-    for jumps in _search_jumps(degree, cap):
-        seq = JumpSequence(degree, jumps).slope_sequence() if jumps \
-            else SlopeSequence(degree, (degree,))
-        canon = _canonical_slopes(seq.slopes)
-        if canon not in seen:
-            seen[canon] = canonical_type(SlopeSequence(degree, canon))
-    return sorted(seen.values(), key=lambda t: (-t.k, t.canonical.slopes))
+    types = [canonical_type(SlopeSequence(degree, slopes))
+             for slopes in _admissible_sequences(degree, cap)
+             if not _reversal_min(slopes)[1]]
+    return sorted(types, key=lambda t: (-t.k, t.canonical.slopes))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -260,6 +261,8 @@ class TestErrorCodes:
         (("aut", "-"), {"slopes": 5, "gaps": ["1"], "position": "0"}),
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": 5}),
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "-inf", "1"]}),
+        (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", math.inf, "1"]}),
+        (("classify", "-"), {"breaks": [], "slopes": [3], "anchor": "1e200000"}),
         pytest.param(("classify", "-"), "[" * 100000, id="nested-100000-deep"),
     ])
     def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):

@@ -25,6 +25,14 @@ class TestQuotientSource:
         assert q.gaps == (1, 2, 1)
         assert not q.reversed_orientation
 
+    @pytest.mark.parametrize("label", ["I", "II", "IV", "V", "IX", "X"])
+    def test_palindromic_tie_keeps_forward(self, label):
+        seq = registry_sequence(label)
+        gaps = (2, Fraction(1, 3), 2) if seq.k == 4 else (7,)
+        q = quotient_source(ModuliPoint(seq, gaps, 5))
+        assert (q.canonical_seq, q.gaps) == (seq, gaps)
+        assert not q.reversed_orientation
+
     def test_reflected_twins_identify(self):
         a = ModuliPoint(registry_sequence("I"), (1, 2, 5), 0)
         b = ModuliPoint(registry_sequence("I"), (5, 2, 1), -3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tropmaps import (InvalidDegeneration, ModuliPoint, SlopeSequence,
                       TropicalMap, automorphisms, canonical_type,
@@ -10,6 +11,9 @@ from tropmaps import (InvalidDegeneration, ModuliPoint, SlopeSequence,
                       registry_sequence, representative_map, stratum,
                       weighted_curve)
 from conftest import random_fraction
+
+PALINDROMIC_LABELS = [t.label for t in registry_d3() if t.palindromic]
+GAPS = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
 
 
 def point(label, gaps, position=0):
@@ -89,6 +93,25 @@ class TestAutomorphisms:
             for x in xs:
                 assert (evaluate(m, 2 * g.reflection_center - x)
                         == -evaluate(m, x) + g.target_shift)
+
+    @given(label=st.sampled_from(PALINDROMIC_LABELS), outer=GAPS, inner=GAPS,
+           position=st.fractions(min_value=-50, max_value=50, max_denominator=12),
+           beyond=GAPS)
+    def test_reflection_equation(self, label, outer, inner, position, beyond):
+        """phi(2c - x) = -phi(x) + b at the breaks, the midpoints and beyond
+        both ends; a piecewise-linear map agreeing there agrees everywhere."""
+        seq = registry_sequence(label)
+        gaps = (outer,) if seq.k == 2 else (outer, inner, outer)
+        p = ModuliPoint(seq, gaps, position)
+        g = automorphisms(p)
+        assert g.kind == "z2"
+        m = representative_map(p)
+        xs = list(m.break_points)
+        xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        xs += [m.break_points[0] - beyond, m.break_points[-1] + beyond]
+        for x in xs:
+            assert (evaluate(m, 2 * g.reflection_center - x)
+                    == -evaluate(m, x) + g.target_shift)
 
     def test_only_two_kinds_exist(self):
         rng = random.Random(5)

@@ -134,8 +134,16 @@ class TestValidate:
         assert not r.ok and any("non-integer" in p for p in r.problems)
 
     def test_bool_slope(self):
-        r = validate(TropicalMap((), (True,), 0))
-        assert not r.ok and r.problems == ("non-integer slope: True",)
+        with pytest.raises(ValueError, match="booleans"):
+            TropicalMap((), (True,), 0)
+
+    @pytest.mark.parametrize("fields", [((0.5,), (3, 4), 0),
+                                        ((0,), (3, 4), 0.25),
+                                        ((0,), (3, 4.0), 0),
+                                        ((0,), (3, 4), "1e3")])
+    def test_rejects_non_exact_fields(self, fields):
+        with pytest.raises(ValueError, match="not a rational"):
+            TropicalMap(*fields)
 
 
 class TestRamification:

@@ -4,7 +4,6 @@ import pytest
 
 from tropmaps import (SlopeSequence, canonical_type, enumerate_types,
                       registry_d3, registry_sequence)
-from tropmaps.types_enum import JumpSequence
 
 THEOREM_SEQUENCES = {
     4: {(3, 4, 5, 4, 3), (3, 4, 3, 4, 3), (3, 4, 3, 2, 3),
@@ -71,10 +70,15 @@ class TestEnumeration:
         types = enumerate_types(2)
         assert {t.canonical.slopes for t in types} == {(2, 3, 2), (2, 1, 2)}
 
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
     def test_matches_oracle(self, degree):
+        oracle = oracle_types(degree)
         got = {t.canonical.slopes for t in enumerate_types(degree)}
-        assert got == oracle_types(degree)
+        assert got == oracle
+        for cap in range(2 * degree - 1):
+            got = [t.canonical.slopes for t in enumerate_types(degree, cap)]
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in oracle if len(s) - 1 <= cap}
 
     def test_max_breaks_filter(self):
         types = enumerate_types(3, max_breaks=3)
@@ -148,19 +152,15 @@ class TestSlopeBound:
             SlopeSequence(3, (3, 6, 3))
 
 
-class TestJumpSequence:
-    def test_roundtrip_to_slopes(self):
-        js = JumpSequence(3, (1, 1, -1, -1))
-        assert js.slope_sequence().slopes == (3, 4, 5, 4, 3)
-
+class TestSlopeSequence:
     def test_rejects_bad_variation(self):
-        with pytest.raises(ValueError):
-            JumpSequence(3, (-3, 1, 1, 1))
+        with pytest.raises(ValueError, match="total ramification 6 != 4"):
+            SlopeSequence(3, (3, 0, 1, 2, 3))
 
     def test_rejects_zero_jump(self):
-        with pytest.raises(ValueError):
-            JumpSequence(3, (2, 0, -2))
+        with pytest.raises(ValueError, match="zero jump"):
+            SlopeSequence(3, (3, 5, 5, 3))
 
     def test_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError):
-            JumpSequence(3, (1, 1, 1, 1))
+        with pytest.raises(ValueError, match="end slopes"):
+            SlopeSequence(3, (3, 4, 5, 6, 7))
