@@ -3,8 +3,9 @@
 Over a generic configuration of four branch points the branch map has
 six geometric preimages (one per four-break slope sequence, counting the
 two orientations of the non-palindromic type III separately) and weighted
-degree nine, using the per-type multiplicities 2, 1, 2, 2, 2 for types
-I through V.
+degree nine.  The per-type multiplicities 2, 1, 2, 2, 2 for types I
+through V (TYPE_MULTIPLICITY) are taken from the paper, not derived, so
+the weighted degree nine is not an independent check of them.
 """
 
 from __future__ import annotations

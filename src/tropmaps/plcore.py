@@ -149,9 +149,9 @@ def evaluate(m: TropicalMap, x):
         raise InputError(str(exc)) from exc
     if not m.break_points:
         return m.anchor_value + m.slopes[0] * x
-    vals = m.break_point_values
     if x <= m.break_points[0]:
-        return vals[0] + m.slopes[0] * (x - m.break_points[0])
+        return m.anchor_value + m.slopes[0] * (x - m.break_points[0])
+    vals = m.break_point_values
     if x >= m.break_points[-1]:
         return vals[-1] + m.slopes[-1] * (x - m.break_points[-1])
     j = bisect_right(m.break_points, x) - 1
@@ -232,15 +232,13 @@ def envelope(p: TropicalPolynomial) -> TropicalMap:
         while hull:
             m_top, b_top = hull[-1]
             # x from which the new line dominates the current top
-            x_star = Fraction(b_top - b_new, m_new - m_top)
+            x_star = (b_top - b_new) / (m_new - m_top)
             if corners and x_star <= corners[-1]:
                 hull.pop()
                 corners.pop()
                 continue
+            corners.append(x_star)
             break
-        if hull:
-            m_top, b_top = hull[-1]
-            corners.append(Fraction(b_top - b_new, m_new - m_top))
         hull.append((m_new, b_new))
     slopes = tuple(m for m, _ in hull)
     if not corners:
@@ -250,34 +248,30 @@ def envelope(p: TropicalPolynomial) -> TropicalMap:
     return TropicalMap(tuple(corners), slopes, anchor)
 
 
-def _slope_between(m: TropicalMap, lo, hi):
-    """Slope of m on an interval containing no break of m."""
-    if not m.break_points:
-        return m.slopes[0]
-    mid = (lo + hi) / 2
-    j = bisect_right(m.break_points, mid)
-    return m.slopes[j]
-
-
 def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
-    """The function a - b in map form, with zero jumps removed."""
-    breaks = sorted(set(a.break_points) | set(b.break_points))
-    slopes = []
-    for j in range(len(breaks) + 1):
-        lo = breaks[j - 1] if j > 0 else (breaks[0] - 1 if breaks else Fraction(0))
-        hi = breaks[j] if j < len(breaks) else (breaks[-1] + 1 if breaks else Fraction(0))
-        slopes.append(_slope_between(a, lo, hi) - _slope_between(b, lo, hi))
-    # merge segments across vanishing jumps
-    kept_breaks, kept_slopes = [], [slopes[0]]
-    for x, s in zip(breaks, slopes[1:]):
-        if s != kept_slopes[-1]:
-            kept_breaks.append(x)
-            kept_slopes.append(s)
-    if not kept_breaks:
-        anchor = evaluate(a, 0) - evaluate(b, 0)
-        return TropicalMap((), tuple(kept_slopes), anchor)
-    anchor = evaluate(a, kept_breaks[0]) - evaluate(b, kept_breaks[0])
-    return TropicalMap(tuple(kept_breaks), tuple(kept_slopes), anchor)
+    """The function a - b in map form, with zero jumps removed.
+
+    One merge walk over the two sorted break lists: with i breaks of a and
+    j breaks of b passed, a.slopes[i] - b.slopes[j] is the slope that follows.
+    """
+    xa, xb = a.break_points, b.break_points
+    i = j = 0
+    breaks, slopes = [], [a.slopes[0] - b.slopes[0]]
+    while i < len(xa) or j < len(xb):
+        if j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
+            x = xa[i]
+            i += 1
+        else:
+            x = xb[j]
+            j += 1
+            if i < len(xa) and xa[i] == x:
+                i += 1
+        s = a.slopes[i] - b.slopes[j]
+        if s != slopes[-1]:
+            breaks.append(x)
+            slopes.append(s)
+    at = breaks[0] if breaks else 0
+    return TropicalMap(tuple(breaks), tuple(slopes), evaluate(a, at) - evaluate(b, at))
 
 
 def tropicalize_rational(p: TropicalPolynomial, q: TropicalPolynomial) -> TropicalMap:

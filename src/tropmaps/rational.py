@@ -41,14 +41,17 @@ def parse_rational(value):
         num, den = match.groups()
         try:
             return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("not a rational: %r" % value) from exc
-    raise ValueError("not a rational: %r" % (value,))
+        except (ValueError, ZeroDivisionError):
+            pass
+    text = repr(value)  # a rejected value can be thousands of digits long
+    if len(text) > 40:
+        text = "%s... (%d characters)" % (text[:40], len(text))
+    raise ValueError("not a rational: " + text)
 
 
 def format_rational(x):
     """Lowest-terms string: "p/q", or plain "p" for integers."""
-    x = Fraction(x)
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from . import moduli
-from .plcore import TropicalMap, is_admissible, maps_equal
+from .plcore import TropicalMap, is_admissible
 from .rational import parse_rational
-from .types_enum import SlopeSequence, canonical_type
+from .types_enum import canonical_type
 
 
 @dataclass(frozen=True)
@@ -74,34 +76,45 @@ def _folded_terms(net: ReLUNetwork):
     slope, bias = net.base_slope, net.base_bias
     terms = []
     for idx, (w, b, a) in enumerate(net.units):
-        if w == 0:
+        if not w:
             bias += a * max(Fraction(0), b)
             continue
-        if w < 0:
-            slope += a * w
+        jump = a * w
+        if w < 0:  # flipping (w, b) to (-w, -b) keeps the threshold
+            slope += jump
             bias += a * b
-            w, b = -w, -b
-        terms.append((Fraction(-b, w), a * w, idx))
+            jump = -jump
+        terms.append((-b / w, jump, idx))
     return slope, bias, terms
 
 
-def network_to_map(net: ReLUNetwork) -> NetworkConversion:
-    """Exact conversion, merging coincident thresholds and dropping zero jumps."""
+def _convert(net: ReLUNetwork):
+    """network_to_map, plus the merged kinks: (threshold, summed jump, unit
+    indices) for each run of equal thresholds, in increasing order."""
     slope, bias, terms = _folded_terms(net)
-    jump_at = {}
-    for theta, jump, _ in terms:
-        jump_at[theta] = jump_at.get(theta, Fraction(0)) + jump
-    breaks = sorted(t for t, j in jump_at.items() if j != 0)
-    slopes = [slope]
-    for t in breaks:
-        slopes.append(slopes[-1] + jump_at[t])
-    if breaks:
-        anchor = slope * breaks[0] + bias  # thresholds above break 0 inactive there
-        m = TropicalMap(tuple(breaks), tuple(slopes), anchor)
-    else:
-        m = TropicalMap((), tuple(slopes), bias)
+    terms.sort(key=itemgetter(0))
+    kinks, breaks, slopes = [], [], [slope]
+    for theta, run in groupby(terms, key=itemgetter(0)):
+        _, jump, idx = next(run)
+        indices = [idx]
+        for _, j, idx in run:
+            jump += j
+            indices.append(idx)
+        kinks.append((theta, jump, indices))
+        if jump:
+            breaks.append(theta)
+            slopes.append(slopes[-1] + jump)
+    # Thresholds above break 0 are inactive there.
+    anchor = slope * breaks[0] + bias if breaks else bias
+    m = TropicalMap(tuple(breaks), tuple(slopes), anchor)
     report = is_admissible(m, 3)
-    return NetworkConversion(m, report.admissible, report.reasons)
+    return NetworkConversion(m, report.admissible, report.reasons), kinks
+
+
+def network_to_map(net: ReLUNetwork) -> NetworkConversion:
+    """Exact conversion, merging coincident thresholds and dropping zero
+    jumps: a sort of the thresholds plus one pass."""
+    return _convert(net)[0]
 
 
 def map_to_network(m: TropicalMap) -> ReLUNetwork:
@@ -123,19 +136,12 @@ def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
             dead.append(DeadUnit(idx, "zero-coefficient"))
         elif w == 0:
             dead.append(DeadUnit(idx, "zero-weight"))
-    _, _, terms = _folded_terms(net)
-    by_threshold = {}
-    for theta, jump, idx in terms:
-        by_threshold.setdefault(theta, []).append((jump, idx))
+    conv, kinks = _convert(net)
     flagged = {d.index for d in dead}
-    for theta, contribs in by_threshold.items():
-        if sum(j for j, _ in contribs) == 0:
-            for _, idx in contribs:
-                if idx not in flagged:
-                    dead.append(DeadUnit(idx, "cancelled-threshold"))
-                    flagged.add(idx)
-
-    conv = network_to_map(net)
+    for _, jump, indices in kinks:
+        if not jump:
+            dead.extend(DeadUnit(idx, "cancelled-threshold")
+                        for idx in indices if idx not in flagged)
     if not conv.admissible:
         return SymmetryReport(tuple(sorted(dead, key=lambda d: d.index)),
                               False, conv.problems, None, None, None)

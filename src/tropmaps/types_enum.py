@@ -38,7 +38,11 @@ class SlopeSequence:
     slopes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(int(s) for s in self.slopes))
+        slopes = tuple(self.slopes)
+        for s in slopes:  # int(s) alone would truncate 4.7 to 4 and read True as 1
+            if type(s) is not int and (isinstance(s, (bool, float)) or s != int(s)):
+                raise ValueError("non-integer slope: %r" % (s,))
+        object.__setattr__(self, "slopes", tuple(map(int, slopes)))
         reasons = _admissibility_reasons(self.degree, self.slopes)
         if reasons:
             raise ValueError("; ".join(reasons))

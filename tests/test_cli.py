@@ -269,3 +269,11 @@ class TestErrorCodes:
         code, out, err = run_stdin(capsys, monkeypatch, argv, obj)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+    def test_long_rejected_value_is_not_echoed(self, capsys, monkeypatch):
+        anchor = "7" * 5000  # past the interpreter's int-string digit limit
+        code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-"),
+                                   {"breaks": [], "slopes": [3], "anchor": anchor})
+        payload = json.loads(err)
+        assert code == 2 and out == "" and payload["error"] == "invalid-input"
+        assert len(payload["detail"]) < 200 and "5002 characters" in payload["detail"]

@@ -93,6 +93,9 @@ class TestFiber:
         assert by_label == {"I": {2}, "II": {1}, "III": {2}, "IV": {2}, "V": {2}}
 
     def test_weighted_count_is_nine(self):
+        # The multiplicities are TYPE_MULTIPLICITY, taken from the paper; this
+        # checks that each type of the fiber is counted once with its weight,
+        # not the weights themselves.
         assert hurwitz_number(BranchConfiguration((4, 10, 4))) == 9
         assert hurwitz_number(BranchConfiguration((1, 1, 1))) == 9
 

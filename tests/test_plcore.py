@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -235,13 +236,19 @@ class TestSegmentSlopeProperty:
            d=st.fractions(min_value=Fraction(1, 10), max_value=1,
                           max_denominator=10))
     def test_difference_quotient_is_segment_slope(self, x, d):
-        from tropmaps.plcore import _slope_between
+        # The slope on a segment as piecewise_difference reports it: of m
+        # alone (minus zero), and of m - n, where the break at 1 cancels (both
+        # jump +1), the one at 3 is shared with unequal jumps, and 1/2 is n's.
         m = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)
+        n = TropicalMap((Fraction(1, 2), 1, 3), (1, -2, -1, 2), 5)
+        zero = TropicalMap((), (0,), 0)
         y = x + d
-        if any(x < b < y for b in m.break_points):
-            return  # a kink separates the sample points
-        s = (evaluate(m, y) - evaluate(m, x)) / d
-        assert s == _slope_between(m, x, y)
+        for f, g in ((m, zero), (m, n)):
+            if any(x < b < y for b in f.break_points + g.break_points):
+                continue  # a kink separates the sample points
+            diff = plcore.piecewise_difference(f, g)
+            s = (evaluate(f, y) - evaluate(g, y) - evaluate(f, x) + evaluate(g, x)) / d
+            assert s == diff.slopes[bisect_right(diff.break_points, x)]
 
 
 class TestTropicalPolynomial:
@@ -306,3 +313,33 @@ class TestTropicalize:
         for n in range(-20, 20):
             x = Fraction(n, 2)
             assert evaluate(m, x) == self._oracle(p, q, x)
+
+    @given(st.data())
+    def test_against_pointwise_oracle_with_absent_monomials(self, data):
+        # Small integer coefficients make corners of p and q coincide often.
+        # A shifted prefix of p as q shares corners of p with equal jumps, and
+        # its tropical square (exponents doubled) shares them with doubled jumps.
+        coeff = st.one_of(st.just(NEG_INF), st.integers(-6, 6), RATIONALS)
+        p, q = [tuple(data.draw(st.lists(coeff, max_size=7)))
+                + (data.draw(st.integers(-6, 6)),) for _ in range(2)]
+        variant = data.draw(st.sampled_from(["independent", "prefix", "square"]))
+        if variant != "independent":
+            cut = data.draw(st.sampled_from(
+                [i for i, c in enumerate(p) if not math.isinf(c)]))
+            shift = data.draw(st.integers(-2, 2))
+            q = tuple(c + shift for c in p[:cut + 1])
+            if variant == "square":
+                q = tuple(x for c in q for x in (NEG_INF, 2 * c))[1:]
+        p, q = TropicalPolynomial(p), TropicalPolynomial(q)
+        m = tropicalize_rational(p, q)
+        # Every kink of either envelope is where two of its lines meet.
+        xs = {Fraction(c2 - c1, i1 - i2)
+              for poly in (p, q)
+              for i1, c1 in enumerate(poly.coefficients)
+              for i2, c2 in enumerate(poly.coefficients[:i1])
+              if not (math.isinf(c1) or math.isinf(c2))}
+        xs = sorted(xs | set(m.break_points)) or [Fraction(0)]
+        xs += [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[0] - 1, xs[-1] + 1]
+        for x in xs:
+            assert evaluate(m, x) == self._oracle(p, q, x)
+        assert validate(m)

@@ -1,0 +1,37 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from tropmaps.rational import format_rational, parse_rational
+
+
+def via_fraction(x):
+    """The text every value gets by going through Fraction(x) first."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+
+
+class TestFormatRational:
+    @given(st.one_of(st.integers(), st.fractions(), st.booleans()))
+    def test_ints_and_fractions_match_the_fraction_form(self, x):
+        assert format_rational(x) == via_fraction(x)
+
+    @pytest.mark.parametrize("x, text", [(True, "1"), (0.5, "1/2"), ("6/4", "3/2"),
+                                         (Fraction(-8, 2), "-4"), (10 ** 30, "1" + "0" * 30)])
+    def test_examples(self, x, text):
+        assert format_rational(x) == text
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value", ["9" * 5000, "x" * 5000, ["1"] * 2000],
+                             ids=["digits", "letters", "list"])
+    def test_error_echoes_a_bounded_prefix(self, value):
+        with pytest.raises(ValueError) as info:
+            parse_rational(value)
+        text = str(info.value)
+        assert len(text) < 200 and "characters)" in text
+
+    def test_short_values_are_echoed_whole(self):
+        with pytest.raises(ValueError, match=r"not a rational: '1\.5'$"):
+            parse_rational("1.5")

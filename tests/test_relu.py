@@ -16,7 +16,38 @@ def example_network():
     return ReLUNetwork(3, 0, EXAMPLE_UNITS)
 
 
+THRESHOLDS = st.sampled_from([Fraction(-3), Fraction(-1, 2), Fraction(0),
+                               Fraction(2, 3), Fraction(5)])
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def networks(draw):
+    """Networks whose units share a few thresholds: zero and negative
+    weights, zero coefficients, and units added to cancel another's jump."""
+    units = []
+    for _ in range(draw(st.integers(0, 12))):
+        theta, w, a = draw(THRESHOLDS), draw(SMALL), draw(SMALL)
+        b = -theta * w if w else draw(SMALL)
+        units.append((w, b, a))
+        if w and draw(st.booleans()):
+            w2 = draw(SMALL.filter(bool))
+            units.append((w2, -theta * w2, Fraction(-a * abs(w), abs(w2))))
+    units = draw(st.permutations(units))
+    return ReLUNetwork(draw(SMALL), draw(SMALL), tuple(units))
+
+
 class TestNetworkToMap:
+    @given(net=networks())
+    def test_against_network_evaluation(self, net):
+        m = network_to_map(net).map
+        xs = sorted({-b / w for w, b, _ in net.units if w}) or [Fraction(0)]
+        xs += [(x + y) / 2 for x, y in zip(xs, xs[1:])] + [xs[0] - 1, xs[-1] + 1]
+        for x in xs:
+            assert evaluate(m, x) == net.evaluate(x)
+        assert all(a < b for a, b in zip(m.break_points, m.break_points[1:]))
+        assert 0 not in (b - a for a, b in zip(m.slopes, m.slopes[1:]))
+
     def test_example_network(self, example_map):
         conv = network_to_map(example_network())
         assert maps_equal(conv.map, example_map)

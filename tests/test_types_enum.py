@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -164,3 +165,14 @@ class TestSlopeSequence:
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValueError, match="end slopes"):
             SlopeSequence(3, (3, 4, 5, 6, 7))
+
+    @pytest.mark.parametrize("slopes", [(3, 4.7, 5, 4, 3), (3, 4, 5, 4, 3.0),
+                                        (3, True, 3), (3, Fraction(7, 2), 3)])
+    def test_rejects_non_integer_slopes(self, slopes):
+        with pytest.raises(ValueError, match="non-integer slope"):
+            SlopeSequence(3, slopes)
+
+    def test_integral_values_become_ints(self):
+        seq = SlopeSequence(3, (3, Fraction(4), 5, 4, 3))
+        assert seq.slopes == (3, 4, 5, 4, 3)
+        assert all(type(s) is int for s in seq.slopes)
