@@ -94,7 +94,7 @@ def _classify(m):
         payload["admissible"] = adm.admissible
         payload["reasons"] = list(adm.reasons)
         if adm.admissible:
-            ctype = types_enum.canonical_type(moduli.moduli_point(m).seq)
+            ctype = types_enum.canonical_type(types_enum.SlopeSequence(3, m.slopes))
             payload["type"] = ctype.label
             payload["canonical_slopes"] = list(ctype.canonical.slopes)
     return payload

@@ -11,10 +11,11 @@ labels with no map realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DomainError
-from .rational import is_infinite, parse_extended
-from .types_enum import SlopeSequence, _admissibility_reasons, canonical_type
+from .rational import POS_INF, is_infinite, parse_extended
+from .types_enum import _D3_LABELS, SlopeSequence
 
 ZERO = "zero"
 OPEN = "open"
@@ -48,7 +49,7 @@ class BoundaryStratum:
     collisions: tuple         # (gap index 1..3, VALID_MERGE | REDUCED_VARIATION)
     infinity_indices: tuple
     limit_slopes: tuple       # merged slope sequence (raw ints; may be degenerate)
-    in_moduli: bool
+    in_moduli: bool           # the limit is one of the ten labelled types
     limit_label: str | None   # registry label of the limit type, when in_moduli
 
 
@@ -60,52 +61,36 @@ def _coordinate_state(g):
     return OPEN
 
 
-def _merge_jumps(jumps, zero_indices):
-    """Merge jump groups across vanishing gaps, left to right.
+def _merge_jumps(jumps, states):
+    """Sum each run of jumps joined by zero gaps, left to right.
 
-    Gap i separates jumps i and i+1 (1-based); a zero gap joins their
-    groups.  Groups summing to zero cancel entirely, so cascades may end
-    in a break-free sequence.
+    Gap i lies between jumps i and i+1 (1-based), so a zero gap joins only
+    neighbours and every group is a contiguous run.  Runs summing to zero
+    cancel entirely, so cascades may end in a break-free sequence.
     """
-    groups = [[j] for j in jumps]
-    owner = list(range(len(jumps)))  # owner[i]: group of original jump i
-    for i in zero_indices:           # 1-based gap index
-        a, b = owner[i - 1], owner[i]
-        if a == b:
-            continue
-        groups[a].extend(groups[b])
-        for t, o in enumerate(owner):
-            if o == b:
-                owner[t] = a
-    merged = []
-    for g in sorted(set(owner)):
-        total = sum(groups[g])
-        if total != 0:
-            merged.append(total)
-    return tuple(merged)
+    runs = [jumps[0]]
+    for jump, state in zip(jumps[1:], states):
+        if state == ZERO:
+            runs[-1] += jump
+        else:
+            runs.append(jump)
+    return [r for r in runs if r]
 
 
 def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
     """Coordinate states, collision tags, and the limit slope sequence."""
     states = tuple(_coordinate_state(g) for g in p.extended_gaps)
-    jumps = p.seq.jumps
-    collisions = []
-    for i, st in enumerate(states, start=1):
-        if st == ZERO:
-            collisions.append((i, VALID_MERGE if p.seq.jumps_share_sign(i)
-                               else REDUCED_VARIATION))
+    collisions = tuple((i, VALID_MERGE if p.seq.jumps_share_sign(i)
+                        else REDUCED_VARIATION)
+                       for i, st in enumerate(states, start=1) if st == ZERO)
     infinity = tuple(i for i, st in enumerate(states, start=1) if st == INFINITE)
-    merged = _merge_jumps(jumps, [i for i, _ in collisions])
     slopes = [3]
-    for j in merged:
+    for j in _merge_jumps(p.seq.jumps, states):
         slopes.append(slopes[-1] + j)
-    in_moduli = not _admissibility_reasons(3, slopes)
-    label = None
-    if in_moduli:
-        label = canonical_type(SlopeSequence(3, tuple(slopes))).label
+    label = _D3_LABELS.get(tuple(slopes))
     return BoundaryStratum(states, sum(1 for s in states if s != OPEN),
-                           tuple(collisions), infinity, tuple(slopes),
-                           in_moduli, label)
+                           collisions, infinity, tuple(slopes),
+                           label is not None, label)
 
 
 def face_lattice(seq: SlopeSequence):
@@ -113,11 +98,5 @@ def face_lattice(seq: SlopeSequence):
     if seq.k != 4:
         raise DomainError("face lattice needs a four-break type, got k=%d" % seq.k,
                           code="not-a-maximal-type")
-    reps = {ZERO: 0, OPEN: 1, INFINITE: float("inf")}
-    strata = []
-    for a in (ZERO, OPEN, INFINITE):
-        for b in (ZERO, OPEN, INFINITE):
-            for c in (ZERO, OPEN, INFINITE):
-                point = CompactifiedPoint(seq, (reps[a], reps[b], reps[c]))
-                strata.append(classify_stratum(point))
-    return strata
+    return [classify_stratum(CompactifiedPoint(seq, gaps))
+            for gaps in product((0, 1, POS_INF), repeat=3)]

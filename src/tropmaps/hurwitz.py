@@ -16,10 +16,17 @@ from fractions import Fraction
 from .errors import DomainError
 from .moduli import ModuliPoint
 from .rational import parse_rational
-from .types_enum import (SlopeSequence, _reversal_min, canonical_type,
-                         registry_sequence)
+from .types_enum import _REGISTRY_D3, SlopeSequence, _reversal_min
 
 TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
+
+# The fiber's rows: each orientation of each four-break type (only type
+# III has two), with the multiplicity of its type, in the order fiber
+# lists them.
+_FIBER_ROWS = tuple((SlopeSequence(3, slopes), TYPE_MULTIPLICITY[label])
+                    for label, forward in _REGISTRY_D3
+                    if label in TYPE_MULTIPLICITY
+                    for slopes in dict.fromkeys((forward, forward[::-1])))
 
 
 class NonGenericConfiguration(DomainError):
@@ -87,13 +94,6 @@ def branch_configuration(p: ModuliPoint) -> BranchConfiguration:
     return BranchConfiguration(tuple(s * g for s, g in zip(interior, p.gaps)))
 
 
-def _four_break_sequences():
-    """The six full four-break slope sequences: types I-V plus reversed III."""
-    seqs = [registry_sequence(label) for label in ("I", "II", "III", "IV", "V")]
-    seqs.insert(3, registry_sequence("III").reversed_())
-    return seqs
-
-
 def fiber(b: BranchConfiguration):
     """Solve l_i = d_i / s_i for every four-break sequence.
 
@@ -103,17 +103,14 @@ def fiber(b: BranchConfiguration):
     of type III.
     """
     elements = []
-    for seq in _four_break_sequences():
-        interior = seq.slopes[1:-1]
-        gaps = tuple(Fraction(d, s) for d, s in zip(b.distances, interior))
-        assert all(g > 0 for g in gaps)
-        label = canonical_type(seq).label
-        elements.append(HurwitzFiberElement(seq, gaps, TYPE_MULTIPLICITY[label]))
+    for seq, multiplicity in _FIBER_ROWS:
+        gaps = tuple(Fraction(d, s) for d, s in zip(b.distances, seq.slopes[1:-1]))
+        elements.append(HurwitzFiberElement(seq, gaps, multiplicity))
     return elements
 
 
 def hurwitz_number(b: BranchConfiguration) -> int:
     """Weighted sheet count of the branch map: the table value once per
-    canonical type present in the fiber."""
-    labels = {canonical_type(e.seq).label for e in fiber(b)}
-    return sum(TYPE_MULTIPLICITY[label] for label in labels)
+    canonical type present in the fiber.  Every generic configuration has
+    all five four-break types in its fiber, so this is the table's sum."""
+    return sum(TYPE_MULTIPLICITY.values())

@@ -64,6 +64,8 @@ class TropicalPolynomial:
     def __post_init__(self):
         coeffs = tuple(c if is_infinite(c) else parse_rational(c)
                        for c in self.coefficients)
+        if POS_INF in coeffs:
+            raise ValueError("coefficients may be rational or -inf")
         object.__setattr__(self, "coefficients", coeffs)
         if not any(not is_infinite(c) for c in coeffs):
             raise ValueError("tropical polynomial needs a finite coefficient")
@@ -131,17 +133,11 @@ def evaluate(m: TropicalMap, x):
     """
     if is_infinite(x):
         s = m.slopes[-1] if x > 0 else m.slopes[0]
-        if x > 0:
-            if s > 0:
-                return POS_INF
-            if s < 0:
-                return NEG_INF
-            return m.break_point_values[-1] if m.break_points else m.anchor_value
-        if s > 0:
-            return NEG_INF
-        if s < 0:
-            return POS_INF
-        return m.break_point_values[0] if m.break_points else m.anchor_value
+        if s:
+            return x if s > 0 else -x
+        # A flat end: the value at the last break, or the anchor (the value
+        # at the first break, or everywhere on a break-free map).
+        return m.break_point_values[-1] if x > 0 and m.break_points else m.anchor_value
 
     try:
         x = parse_rational(x)

@@ -43,10 +43,16 @@ def parse_rational(value):
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             pass
-    text = repr(value)  # a rejected value can be thousands of digits long
+    raise ValueError("not a rational: " + _bounded_repr(value))
+
+
+def _bounded_repr(value):
+    """repr of a rejected value for an error message, cut to 40 characters
+    plus its length: a rejected value can be thousands of digits long."""
+    text = repr(value)
     if len(text) > 40:
         text = "%s... (%d characters)" % (text[:40], len(text))
-    raise ValueError("not a rational: " + text)
+    return text
 
 
 def format_rational(x):

@@ -1,9 +1,10 @@
 """JSON interchange schemas for maps, moduli points, networks and results.
 
 Rationals travel as lowest-terms strings ("p/q" or a plain integer),
-slopes as JSON integers.  Every encoder builds its dict in a fixed key
-order so serialized output is byte-stable; every decoder raises InputError
-(alias SchemaError) on malformed input.
+slopes as JSON integers; the non-integer slope a map converted from a
+network can have travels as a rational string.  Every encoder builds its
+dict in a fixed key order so serialized output is byte-stable; every
+decoder raises InputError (alias SchemaError) on malformed input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from .compact import CompactifiedPoint
 from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
-from .rational import NEG_INF, format_rational, is_infinite, parse_extended
+from .rational import _bounded_repr, format_rational, parse_extended
 from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
@@ -30,7 +31,7 @@ def _int_slopes(values):
     slopes = []
     for s in values:
         if isinstance(s, bool) or not isinstance(s, int):
-            raise SchemaError("slopes must be JSON integers, got %r" % (s,))
+            raise SchemaError("slopes must be JSON integers, got " + _bounded_repr(s))
         slopes.append(s)
     return tuple(slopes)
 
@@ -38,7 +39,7 @@ def _int_slopes(values):
 def map_to_json(m: TropicalMap) -> dict:
     return {
         "breaks": [format_rational(x) for x in m.break_points],
-        "slopes": list(m.slopes),
+        "slopes": [s if isinstance(s, int) else format_rational(s) for s in m.slopes],
         "anchor": format_rational(m.anchor_value),
     }
 
@@ -92,10 +93,4 @@ def network_from_json(obj) -> ReLUNetwork:
 
 @decoder
 def polynomial_from_json(values) -> TropicalPolynomial:
-    coeffs = []
-    for c in values:
-        v = parse_extended(c)
-        if is_infinite(v) and v != NEG_INF:
-            raise SchemaError("coefficients may be rational or -inf")
-        coeffs.append(v)
-    return TropicalPolynomial(tuple(coeffs))
+    return TropicalPolynomial(tuple(parse_extended(c) for c in values))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .rational import _bounded_repr
+
 
 def _admissibility_reasons(degree, slopes):
     """Every reason a slope sequence fails degree-d admissibility: end
@@ -41,7 +43,7 @@ class SlopeSequence:
         slopes = tuple(self.slopes)
         for s in slopes:  # int(s) alone would truncate 4.7 to 4 and read True as 1
             if type(s) is not int and (isinstance(s, (bool, float)) or s != int(s)):
-                raise ValueError("non-integer slope: %r" % (s,))
+                raise ValueError("non-integer slope: " + _bounded_repr(s))
         object.__setattr__(self, "slopes", tuple(map(int, slopes)))
         reasons = _admissibility_reasons(self.degree, self.slopes)
         if reasons:
@@ -108,15 +110,17 @@ def _reversal_min(*parts):
     return parts, False
 
 
-_D3_LABEL_BY_CANONICAL = {
-    _reversal_min(slopes)[0][0]: label for label, slopes in _REGISTRY_D3
-}
+# Label of each orientation of each registry sequence.  Its fourteen keys
+# are exactly the admissible degree-3 slope tuples, so a degree-3 tuple
+# has a label if and only if it is admissible.
+_D3_LABELS = {s: label for label, slopes in _REGISTRY_D3
+              for s in (slopes, slopes[::-1])}
 
 
 def canonical_type(seq: SlopeSequence) -> CombinatorialType:
     """Reversal class of a sequence: lexicographic minimum of it and its reversal."""
     (canon,), reversed_ = _reversal_min(seq.slopes)
-    label = _D3_LABEL_BY_CANONICAL.get(canon) if seq.degree == 3 else None
+    label = _D3_LABELS.get(seq.slopes) if seq.degree == 3 else None
     return CombinatorialType(SlopeSequence(seq.degree, canon) if reversed_ else seq,
                              _is_palindrome(seq.slopes), label, representative=seq)
 

@@ -1,0 +1,41 @@
+"""Paths that receive an already checked value do not check or build it again."""
+
+import pytest
+
+from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz,
+                      registry_sequence, types_enum)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The slopes of every SlopeSequence built while the test runs."""
+    built = []
+    check = types_enum.SlopeSequence.__post_init__
+
+    def counted(self):
+        built.append(self.slopes)
+        check(self)
+    monkeypatch.setattr(types_enum.SlopeSequence, "__post_init__", counted)
+    return built
+
+
+def test_face_lattice_builds_no_slope_sequence(constructions):
+    seq = registry_sequence("I")
+    constructions.clear()
+    assert len(face_lattice(seq)) == 27
+    assert constructions == []
+
+
+def test_fiber_builds_no_slope_sequence(constructions):
+    b = BranchConfiguration((4, 10, 4))
+    assert len(fiber(b)) == 6
+    assert constructions == []
+
+
+def test_hurwitz_command_solves_the_fiber_once(capsys, monkeypatch):
+    calls = []
+    solve = hurwitz.fiber
+    monkeypatch.setattr(hurwitz, "fiber", lambda b: calls.append(b) or solve(b))
+    assert cli.main(["hurwitz", "--distances", "4,10,4", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

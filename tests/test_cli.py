@@ -189,6 +189,20 @@ class TestReluCommands:
         code, payload = run_json(capsys, "to-relu", path)
         assert code == 0 and payload == EXAMPLE_NET
 
+    @pytest.mark.parametrize("net, slopes", [
+        ({"base_slope": "1/2", "base_bias": "0", "units": []}, ["1/2"]),
+        ({"base_slope": "3", "base_bias": "0",
+          "units": [{"w": "1", "b": "0", "a": "1/3"}]}, [3, "10/3"]),
+    ])
+    def test_from_relu_non_integer_slope(self, capsys, tmp_path, net, slopes):
+        path = write(tmp_path, "n.json", net)
+        code, payload = run_json(capsys, "from-relu", path)
+        assert code == 0 and payload["map"]["slopes"] == slopes
+        assert not payload["admissible"]
+        assert any("non-integer slope" in p for p in payload["problems"])
+        code, out = run(capsys, "from-relu", path)
+        assert code == 0 and "admissible: false" in out.splitlines()
+
     def test_symmetry(self, capsys, tmp_path):
         path = write(tmp_path, "n.json", EXAMPLE_NET)
         code, payload = run_json(capsys, "symmetry", path)
@@ -263,6 +277,7 @@ class TestErrorCodes:
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "-inf", "1"]}),
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", math.inf, "1"]}),
         (("classify", "-"), {"breaks": [], "slopes": [3], "anchor": "1e200000"}),
+        (("tropicalize", "-"), {"p": ["0", "inf"], "q": ["0"]}),
         pytest.param(("classify", "-"), "[" * 100000, id="nested-100000-deep"),
     ])
     def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
@@ -271,9 +286,10 @@ class TestErrorCodes:
         assert json.loads(err)["error"] == "invalid-input"
 
     def test_long_rejected_value_is_not_echoed(self, capsys, monkeypatch):
-        anchor = "7" * 5000  # past the interpreter's int-string digit limit
-        code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-"),
-                                   {"breaks": [], "slopes": [3], "anchor": anchor})
-        payload = json.loads(err)
-        assert code == 2 and out == "" and payload["error"] == "invalid-input"
-        assert len(payload["detail"]) < 200 and "5002 characters" in payload["detail"]
+        long = "7" * 5000  # past the interpreter's int-string digit limit
+        for obj in ({"breaks": [], "slopes": [3], "anchor": long},
+                    {"breaks": [], "slopes": [long], "anchor": "0"}):
+            code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-"), obj)
+            payload = json.loads(err)
+            assert code == 2 and out == "" and payload["error"] == "invalid-input"
+            assert len(payload["detail"]) < 200 and "5002 characters" in payload["detail"]

@@ -47,6 +47,20 @@ class TestEvaluate:
         assert evaluate(example_map, math.inf) == math.inf
         assert evaluate(example_map, -math.inf) == -math.inf
 
+    @pytest.mark.parametrize("first", range(-2, 3))
+    @pytest.mark.parametrize("last", range(-2, 3))
+    def test_infinite_arguments_by_end_slope(self, first, last):
+        # oracle: a sloped end runs off to the infinity of its sign, a flat
+        # end keeps the value it has far out
+        far = 10**6
+        for m in (TropicalMap((0, 1), (first, 7, last), 2),
+                  TropicalMap((), (first,), 2)):
+            for x, s in ((math.inf, m.slopes[-1]), (-math.inf, -m.slopes[0])):
+                got = evaluate(m, x)
+                expected = (math.copysign(math.inf, s) if s
+                            else evaluate(m, far if x > 0 else -far))
+                assert got == expected and type(got) is type(expected)
+
     def test_break_free_map(self):
         m = TropicalMap((), (3,), Fraction(7))
         assert evaluate(m, 0) == 7
@@ -265,6 +279,11 @@ class TestTropicalPolynomial:
     def test_all_bottom_rejected(self):
         with pytest.raises(ValueError):
             TropicalPolynomial((NEG_INF, NEG_INF))
+
+    def test_positive_infinity_rejected(self):
+        for coeffs in ((0, math.inf, 1), (0, 1, math.inf)):
+            with pytest.raises(ValueError, match="rational or -inf"):
+                TropicalPolynomial(coeffs)
 
 
 class TestTropicalize:
