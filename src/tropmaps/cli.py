@@ -90,10 +90,9 @@ def _classify(m):
     report = plcore.validate(m)
     payload = {"valid": report.ok, "problems": list(report.problems)}
     if report.ok:
-        adm = plcore.is_admissible(m, 3)
-        payload["admissible"] = adm.admissible
-        payload["reasons"] = list(adm.reasons)
-        if adm.admissible:
+        reasons = types_enum._admissibility_reasons(3, m.slopes)
+        payload.update(admissible=not reasons, reasons=reasons)
+        if not reasons:
             ctype = types_enum.canonical_type(types_enum.SlopeSequence(3, m.slopes))
             payload["type"] = ctype.label
             payload["canonical_slopes"] = list(ctype.canonical.slopes)

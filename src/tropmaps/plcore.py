@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError
-from .rational import NEG_INF, POS_INF, is_infinite, parse_rational
+from .rational import POS_INF, _bounded_echo, format_rational, is_infinite, parse_rational
 from .types_enum import _admissibility_reasons
 
 
@@ -26,6 +26,11 @@ def _parse_slope(s):
     # that validate() and the ReLU admissibility report can see them.
     s = parse_rational(s)
     return int(s) if s.denominator == 1 else s
+
+
+def _anchor_point(breaks):
+    """Where a map's anchor value is taken: its first break point, or 0."""
+    return breaks[0] if breaks else 0
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,7 @@ class TropicalPolynomial:
         if POS_INF in coeffs:
             raise ValueError("coefficients may be rational or -inf")
         object.__setattr__(self, "coefficients", coeffs)
-        if not any(not is_infinite(c) for c in coeffs):
-            raise ValueError("tropical polynomial needs a finite coefficient")
-        top = coeffs[-1] if coeffs else NEG_INF
-        if is_infinite(top):
+        if not coeffs or is_infinite(coeffs[-1]):
             raise ValueError("top coefficient must be finite")
 
 
@@ -105,13 +107,15 @@ def validate(m: TropicalMap) -> ValidationReport:
         problems.append("slope count must be break count + 1")
     for s in m.slopes:
         if not isinstance(s, int):
-            problems.append("non-integer slope: %r" % (s,))
+            problems.append("non-integer slope: " + _bounded_echo(s, format_rational))
     for a, b in zip(m.break_points, m.break_points[1:]):
         if a >= b:
-            problems.append("break points not strictly increasing at %s" % (b,))
+            problems.append("break points not strictly increasing at "
+                            + _bounded_echo(b, format_rational))
     for a, b in zip(m.slopes, m.slopes[1:]):
         if a == b:
-            problems.append("zero jump at slope %r (break is not a kink)" % (a,))
+            problems.append("zero jump at slope %s (break is not a kink)"
+                            % _bounded_echo(a, format_rational))
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -135,18 +139,15 @@ def evaluate(m: TropicalMap, x):
         s = m.slopes[-1] if x > 0 else m.slopes[0]
         if s:
             return x if s > 0 else -x
-        # A flat end: the value at the last break, or the anchor (the value
-        # at the first break, or everywhere on a break-free map).
+        # A flat end: the value at the last break, or else the anchor value.
         return m.break_point_values[-1] if x > 0 and m.break_points else m.anchor_value
 
     try:
         x = parse_rational(x)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if not m.break_points:
-        return m.anchor_value + m.slopes[0] * x
-    if x <= m.break_points[0]:
-        return m.anchor_value + m.slopes[0] * (x - m.break_points[0])
+    if not m.break_points or x <= m.break_points[0]:
+        return m.anchor_value + m.slopes[0] * (x - _anchor_point(m.break_points))
     vals = m.break_point_values
     if x >= m.break_points[-1]:
         return vals[-1] + m.slopes[-1] * (x - m.break_points[-1])
@@ -184,22 +185,12 @@ def apply_source_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     shift = parse_rational(shift)
-    if sign == 1:
-        if not m.break_points:
-            return TropicalMap((), m.slopes,
-                               m.anchor_value + m.slopes[0] * shift)
-        return TropicalMap(tuple(x - shift for x in m.break_points),
-                           m.slopes, m.anchor_value)
-    # Reflection: new break points are shift - x_i in reverse order, the
-    # slope sequence reverses and negates, and the new first break maps
-    # to the old last break value.
-    if not m.break_points:
-        return TropicalMap((), (-m.slopes[0],),
-                           m.anchor_value + m.slopes[0] * shift)
-    new_breaks = tuple(shift - x for x in reversed(m.break_points))
-    new_slopes = tuple(-s for s in reversed(m.slopes))
-    new_anchor = m.break_point_values[-1]
-    return TropicalMap(new_breaks, new_slopes, new_anchor)
+    # A break x moves to sign*(x - shift) and a slope s becomes sign*s; the
+    # [::sign] slices reverse both lists under a reflection.
+    breaks = tuple(sign * (x - shift) for x in m.break_points[::sign])
+    slopes = tuple(sign * s for s in m.slopes[::sign])
+    anchor = evaluate(m, sign * _anchor_point(breaks) + shift)
+    return TropicalMap(breaks, slopes, anchor)
 
 
 def maps_equal(a: TropicalMap, b: TropicalMap) -> bool:
@@ -236,12 +227,9 @@ def envelope(p: TropicalPolynomial) -> TropicalMap:
             corners.append(x_star)
             break
         hull.append((m_new, b_new))
-    slopes = tuple(m for m, _ in hull)
-    if not corners:
-        return TropicalMap((), slopes, hull[0][1])
     m0, b0 = hull[0]
-    anchor = m0 * corners[0] + b0
-    return TropicalMap(tuple(corners), slopes, anchor)
+    return TropicalMap(tuple(corners), tuple(m for m, _ in hull),
+                       m0 * _anchor_point(corners) + b0)
 
 
 def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
@@ -266,7 +254,7 @@ def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
         if s != slopes[-1]:
             breaks.append(x)
             slopes.append(s)
-    at = breaks[0] if breaks else 0
+    at = _anchor_point(breaks)
     return TropicalMap(tuple(breaks), tuple(slopes), evaluate(a, at) - evaluate(b, at))
 
 

@@ -43,13 +43,13 @@ def parse_rational(value):
             return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError("not a rational: " + _bounded_repr(value))
+    raise ValueError("not a rational: " + _bounded_echo(value))
 
 
-def _bounded_repr(value):
-    """repr of a rejected value for an error message, cut to 40 characters
-    plus its length: a rejected value can be thousands of digits long."""
-    text = repr(value)
+def _bounded_echo(value, form=repr):
+    """A rejected value written by form for an error message, cut to 40
+    characters plus its length: it can be thousands of digits long."""
+    text = form(value)
     if len(text) > 40:
         text = "%s... (%d characters)" % (text[:40], len(text))
     return text

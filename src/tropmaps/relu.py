@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Optional
 
 from . import moduli
-from .plcore import TropicalMap, is_admissible
+from .plcore import TropicalMap, _anchor_point, is_admissible
 from .rational import parse_rational
 from .types_enum import canonical_type
 
@@ -105,8 +105,7 @@ def _convert(net: ReLUNetwork):
             breaks.append(theta)
             slopes.append(slopes[-1] + jump)
     # Thresholds above break 0 are inactive there.
-    anchor = slope * breaks[0] + bias if breaks else bias
-    m = TropicalMap(tuple(breaks), tuple(slopes), anchor)
+    m = TropicalMap(tuple(breaks), tuple(slopes), slope * _anchor_point(breaks) + bias)
     report = is_admissible(m, 3)
     return NetworkConversion(m, report.admissible, report.reasons), kinks
 
@@ -121,30 +120,26 @@ def map_to_network(m: TropicalMap) -> ReLUNetwork:
     """Canonical network of a map: all hidden weights +1, one unit per break."""
     units = tuple((Fraction(1), -x, Fraction(b - a))
                   for x, a, b in zip(m.break_points, m.slopes, m.slopes[1:]))
-    if m.break_points:
-        bias = m.anchor_value - m.slopes[0] * m.break_points[0]
-    else:
-        bias = m.anchor_value
+    bias = m.anchor_value - m.slopes[0] * _anchor_point(m.break_points)
     return ReLUNetwork(Fraction(m.slopes[0]), bias, units)
 
 
 def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     """Dead units, combinatorial type, and the symmetry of the induced map."""
-    dead = []
+    reasons = {}  # unit index -> why the unit is dead
     for idx, (w, b, a) in enumerate(net.units):
         if a == 0:
-            dead.append(DeadUnit(idx, "zero-coefficient"))
+            reasons[idx] = "zero-coefficient"
         elif w == 0:
-            dead.append(DeadUnit(idx, "zero-weight"))
+            reasons[idx] = "zero-weight"
     conv, kinks = _convert(net)
-    flagged = {d.index for d in dead}
     for _, jump, indices in kinks:
         if not jump:
-            dead.extend(DeadUnit(idx, "cancelled-threshold")
-                        for idx in indices if idx not in flagged)
+            for idx in indices:
+                reasons.setdefault(idx, "cancelled-threshold")
+    dead = tuple(DeadUnit(idx, reasons[idx]) for idx in sorted(reasons))
     if not conv.admissible:
-        return SymmetryReport(tuple(sorted(dead, key=lambda d: d.index)),
-                              False, conv.problems, None, None, None)
+        return SymmetryReport(dead, False, conv.problems, None, None, None)
     point = moduli.moduli_point(conv.map)
     ctype = canonical_type(point.seq)
     aut = moduli.automorphisms(point)
@@ -152,5 +147,4 @@ def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     if ctype.palindromic and point.seq.k == 4:
         l1, l3 = point.gaps[0], point.gaps[2]
         gap_condition = (l1, l3, l1 == l3)
-    return SymmetryReport(tuple(sorted(dead, key=lambda d: d.index)),
-                          True, (), ctype.label, aut.kind, gap_condition)
+    return SymmetryReport(dead, True, (), ctype.label, aut.kind, gap_condition)

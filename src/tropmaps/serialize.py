@@ -13,7 +13,7 @@ from .compact import CompactifiedPoint
 from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
-from .rational import _bounded_repr, format_rational, parse_extended
+from .rational import _bounded_echo, format_rational, parse_extended
 from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
@@ -31,7 +31,7 @@ def _int_slopes(values):
     slopes = []
     for s in values:
         if isinstance(s, bool) or not isinstance(s, int):
-            raise SchemaError("slopes must be JSON integers, got " + _bounded_repr(s))
+            raise SchemaError("slopes must be JSON integers, got " + _bounded_echo(s))
         slopes.append(s)
     return tuple(slopes)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import _bounded_repr
+from .rational import _bounded_echo
 
 
 def _admissibility_reasons(degree, slopes):
@@ -43,7 +43,7 @@ class SlopeSequence:
         slopes = tuple(self.slopes)
         for s in slopes:  # int(s) alone would truncate 4.7 to 4 and read True as 1
             if type(s) is not int and (isinstance(s, (bool, float)) or s != int(s)):
-                raise ValueError("non-integer slope: " + _bounded_repr(s))
+                raise ValueError("non-integer slope: " + _bounded_echo(s))
         object.__setattr__(self, "slopes", tuple(map(int, slopes)))
         reasons = _admissibility_reasons(self.degree, self.slopes)
         if reasons:

@@ -1,8 +1,11 @@
 """Paths that receive an already checked value do not check or build it again."""
 
+import io
+import json
+
 import pytest
 
-from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz,
+from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz, plcore,
                       registry_sequence, types_enum)
 
 
@@ -38,4 +41,15 @@ def test_hurwitz_command_solves_the_fiber_once(capsys, monkeypatch):
     monkeypatch.setattr(hurwitz, "fiber", lambda b: calls.append(b) or solve(b))
     assert cli.main(["hurwitz", "--distances", "4,10,4", "--json"]) == 0
     capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_classify_validates_once(capsys, monkeypatch):
+    calls = []
+    check = plcore.validate
+    monkeypatch.setattr(plcore, "validate", lambda m: calls.append(m) or check(m))
+    readme_map = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(readme_map)))
+    assert cli.main(["classify", "-", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "I"
     assert len(calls) == 1

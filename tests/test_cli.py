@@ -10,6 +10,7 @@ EXAMPLE_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3],
                "anchor": "0"}
 EXAMPLE_POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"],
                  "position": "0"}
+LONG_UNIT = {"w": "1", "b": "0", "a": "1/1" + "0" * 3999}
 EXAMPLE_NET = {"base_slope": "3", "base_bias": "0",
                "units": [{"w": "1", "b": "0", "a": "1"},
                          {"w": "1", "b": "-1", "a": "1"},
@@ -193,13 +194,21 @@ class TestReluCommands:
         ({"base_slope": "1/2", "base_bias": "0", "units": []}, ["1/2"]),
         ({"base_slope": "3", "base_bias": "0",
           "units": [{"w": "1", "b": "0", "a": "1/3"}]}, [3, "10/3"]),
+        # a 4,000-digit denominator: the map writes the slope out in full
+        ({"base_slope": "3", "base_bias": "0", "units": [LONG_UNIT]},
+         [3, "3" + "0" * 3998 + "1/1" + "0" * 3999]),
     ])
     def test_from_relu_non_integer_slope(self, capsys, tmp_path, net, slopes):
         path = write(tmp_path, "n.json", net)
         code, payload = run_json(capsys, "from-relu", path)
         assert code == 0 and payload["map"]["slopes"] == slopes
         assert not payload["admissible"]
-        assert any("non-integer slope" in p for p in payload["problems"])
+        # the problem echoes the slope in interchange form, cut to 40
+        # characters plus its length
+        echo = slopes[-1]
+        if len(echo) > 40:
+            echo = "%s... (%d characters)" % (echo[:40], len(echo))
+        assert "non-integer slope: " + echo in payload["problems"]
         code, out = run(capsys, "from-relu", path)
         assert code == 0 and "admissible: false" in out.splitlines()
 
@@ -293,3 +302,9 @@ class TestErrorCodes:
             payload = json.loads(err)
             assert code == 2 and out == "" and payload["error"] == "invalid-input"
             assert len(payload["detail"]) < 200 and "5002 characters" in payload["detail"]
+        # a 4,000-digit denominator parses; the map's problems echo it cut short
+        net = {"base_slope": "3", "base_bias": "0", "units": [LONG_UNIT]}
+        code, out, err = run_stdin(capsys, monkeypatch, ("from-relu", "-", "--json"), net)
+        problems = json.loads(out)["problems"]
+        assert code == 0 and err == "" and problems
+        assert all(len(p) < 200 for p in problems) and "8001 characters" in problems[0]

@@ -13,8 +13,8 @@ import contextlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -138,21 +138,13 @@ CALLS = [
 def call(argv, stdin):
     """(exit code, stdout, stderr) of one in-process cli.main call."""
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin, os.environ.get("COLUMNS")
-    sys.stdin = io.StringIO(stdin or "")
-    os.environ["COLUMNS"] = COLUMNS
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:   # argparse rejects the arguments
-                code = exc.code
-    finally:
-        sys.stdin = saved[0]
-        if saved[1] is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved[1]
+    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+            mock.patch("sys.stdin", io.StringIO(stdin or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:   # argparse rejects the arguments
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -83,13 +83,15 @@ class TestEvaluate:
     @given(m=valid_maps(), x=RATIONALS, c=RATIONALS)
     def test_against_relu_oracle(self, m, x, c):
         assert validate(m).ok
+        net = map_to_network(m)
         value = evaluate(m, x)
-        assert value == map_to_network(m).evaluate(x)
+        assert value == net.evaluate(x)
         # a second evaluation, served from the map's cached break values,
         # agrees with a freshly built equal map
         assert evaluate(m, x) == value
         assert evaluate(TropicalMap(m.break_points, m.slopes, m.anchor_value), x) == value
-        assert evaluate(apply_source_automorphism(m, -1, c), x) == evaluate(m, c - x)
+        assert evaluate(apply_source_automorphism(m, 1, c), x) == net.evaluate(x + c)
+        assert evaluate(apply_source_automorphism(m, -1, c), x) == net.evaluate(c - x)
 
 
 class TestBreakValueCache:
@@ -277,8 +279,9 @@ class TestTropicalPolynomial:
             assert tropical_polynomial_evaluate(p, x) == 3 * Fraction(x)
 
     def test_all_bottom_rejected(self):
-        with pytest.raises(ValueError):
-            TropicalPolynomial((NEG_INF, NEG_INF))
+        for coeffs in ((NEG_INF, NEG_INF), ()):
+            with pytest.raises(ValueError, match="top coefficient must be finite"):
+                TropicalPolynomial(coeffs)
 
     def test_positive_infinity_rejected(self):
         for coeffs in ((0, math.inf, 1), (0, 1, math.inf)):
