@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
 from .errors import DomainError, InputError, TropmapsError, decoder
@@ -18,13 +19,10 @@ from .rational import format_extended, format_rational, parse_extended
 
 
 def _load_json(path):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(str(exc)) from exc
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _print_kv(payload):
@@ -68,16 +66,20 @@ def _rational_function(args):
 
 # --- ops and payloads ------------------------------------------------------
 
+_MAX_DEGREE = 8   # types: d=8 lists 235,734 types, each degree costs about 8x more
+
+
 def _types(degree, max_breaks):
+    if degree > _MAX_DEGREE:
+        raise InputError("degree must be at most %d" % _MAX_DEGREE)
     if degree == 3 and max_breaks is None:
         return types_enum.registry_d3()
     return types_enum.enumerate_types(degree, max_breaks)
 
 
 def _type_json(t):
-    seq = t.representative or t.canonical
-    return {"label": t.label, "slopes": list(seq.slopes),
-            "palindromic": t.palindromic, "k": seq.k}
+    return {"label": t.label, "slopes": list(t.representative.slopes),
+            "palindromic": t.palindromic, "k": t.k}
 
 
 def _print_types(rows):
@@ -93,9 +95,8 @@ def _classify(m):
         reasons = types_enum._admissibility_reasons(3, m.slopes)
         payload.update(admissible=not reasons, reasons=reasons)
         if not reasons:
-            ctype = types_enum.canonical_type(types_enum.SlopeSequence(3, m.slopes))
-            payload["type"] = ctype.label
-            payload["canonical_slopes"] = list(ctype.canonical.slopes)
+            payload["type"] = types_enum._D3_LABELS[m.slopes]
+            payload["canonical_slopes"] = list(types_enum._reversal_min(m.slopes)[0][0])
     return payload
 
 
@@ -149,9 +150,7 @@ def _stratum_json(s):
 
 def _strata(label, seq):
     strata = compact.face_lattice(seq)
-    census = {}
-    for s in strata:
-        census[s.codimension] = census.get(s.codimension, 0) + 1
+    census = Counter(s.codimension for s in strata)
     return {
         "type": label,
         "codimension_census": {str(c): census[c] for c in sorted(census)},
@@ -202,7 +201,8 @@ COMMANDS = (
      lambda types: [_type_json(t) for t in types], _print_types),
     ("classify", "validate a map and identify its type", [INPUT],
      _map, _classify, None, _print_kv),
-    ("eval", "evaluate a map at a point", [INPUT, ("--at", {"required": True})],
+    ("eval", "evaluate a map at a point",
+     [INPUT, ("--at", {"required": True, "help": "write a negative value as --at=-1/2"})],
      lambda a: (_valid_map(a), parse_extended(a.at)), lambda v: plcore.evaluate(*v),
      lambda x: {"value": format_extended(x)}, lambda p: print(p["value"])),
     ("aut", "automorphism group of a moduli point", [INPUT],
@@ -233,8 +233,10 @@ COMMANDS = (
      _rational_function, lambda v: plcore.tropicalize_rational(*v),
      lambda m: serialize.map_to_json(m), _print_kv),
     ("hurwitz", "Hurwitz fiber over a branch configuration",
-     [[("--branch", {"help": "four branch points p1,p2,p3,p4"}),
-       ("--distances", {"help": "three distances d1,d2,d3"})]],
+     [[("--branch", {"help": "four branch points p1,p2,p3,p4 "
+                               "(--branch=-1,0,2,5 if p1 < 0)"}),
+       ("--distances", {"help": "three distances d1,d2,d3 "
+                                "(--distances=-1,2,3 if d1 < 0)"})]],
      _branch_configuration, _hurwitz, None, _print_hurwitz),
     ("strata", "face lattice of a maximal type's cube",
      [("--type", {"required": True, "help": "registry label I-V"})],

@@ -29,13 +29,14 @@ class InputError(TropmapsError):
 
 
 def decoder(fn):
-    """Wrap a decoder so that any KeyError, TypeError or uncoded ValueError
-    it raises becomes an InputError; coded errors pass through."""
+    """Wrap a decoder so that a KeyError, TypeError, OSError, RecursionError or
+    uncoded ValueError becomes an InputError with its message; coded errors pass."""
     def decode(*args):
         try:
             return fn(*args)
         except TropmapsError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError, OSError, RecursionError) as exc:
+            detail = exc.args[0] if isinstance(exc, KeyError) else exc
+            raise InputError(str(detail)) from exc
     return update_wrapper(decode, fn)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .moduli import ModuliPoint
 from .rational import parse_rational
-from .types_enum import _REGISTRY_D3, SlopeSequence, _reversal_min
+from .types_enum import _D3_LABELS, SlopeSequence, _reversal_min
 
 TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
 
@@ -24,9 +24,8 @@ TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
 # III has two), with the multiplicity of its type, in the order fiber
 # lists them.
 _FIBER_ROWS = tuple((SlopeSequence(3, slopes), TYPE_MULTIPLICITY[label])
-                    for label, forward in _REGISTRY_D3
-                    if label in TYPE_MULTIPLICITY
-                    for slopes in dict.fromkeys((forward, forward[::-1])))
+                    for slopes, label in _D3_LABELS.items()
+                    if label in TYPE_MULTIPLICITY)
 
 
 class NonGenericConfiguration(DomainError):
@@ -39,10 +38,6 @@ class QuotientedModuliPoint:
     canonical_seq: SlopeSequence
     gaps: tuple
     reversed_orientation: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "gaps",
-                           tuple(parse_rational(g) for g in self.gaps))
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,7 @@ def apply_source_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
 
 
 def maps_equal(a: TropicalMap, b: TropicalMap) -> bool:
-    return (a.break_points == b.break_points
-            and a.slopes == b.slopes
-            and a.anchor_value == b.anchor_value)
+    return a == b
 
 
 def tropical_polynomial_evaluate(p: TropicalPolynomial, x):

@@ -9,7 +9,6 @@ exactly ten, labeled I-X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .rational import _bounded_echo
 
@@ -71,8 +70,8 @@ class SlopeSequence:
 class CombinatorialType:
     canonical: SlopeSequence
     palindromic: bool
-    label: Optional[str] = None
-    representative: Optional[SlopeSequence] = None
+    label: str | None
+    representative: SlopeSequence
 
     @property
     def k(self):
@@ -122,19 +121,22 @@ def canonical_type(seq: SlopeSequence) -> CombinatorialType:
     (canon,), reversed_ = _reversal_min(seq.slopes)
     label = _D3_LABELS.get(seq.slopes) if seq.degree == 3 else None
     return CombinatorialType(SlopeSequence(seq.degree, canon) if reversed_ else seq,
-                             _is_palindrome(seq.slopes), label, representative=seq)
+                             _is_palindrome(seq.slopes), label, seq)
+
+
+# The ten registry types, built once, keyed by label in registry order.
+_TYPES_D3 = {lab: canonical_type(SlopeSequence(3, s)) for lab, s in _REGISTRY_D3}
 
 
 def registry_d3():
     """The ten labeled degree-3 types, in registry order I-X."""
-    return [canonical_type(SlopeSequence(3, slopes)) for _, slopes in _REGISTRY_D3]
+    return list(_TYPES_D3.values())
 
 
 def registry_sequence(label: str) -> SlopeSequence:
-    for lab, slopes in _REGISTRY_D3:
-        if lab == label:
-            return SlopeSequence(3, slopes)
-    raise KeyError("unknown degree-3 type label: %r" % label)
+    if label not in _TYPES_D3:
+        raise KeyError("unknown degree-3 type label: %r" % label)
+    return _TYPES_D3[label].representative
 
 
 def _admissible_sequences(degree, max_breaks):
@@ -157,7 +159,7 @@ def _admissible_sequences(degree, max_breaks):
     return extend((degree,), 0)
 
 
-def enumerate_types(degree: int, max_breaks: Optional[int] = None):
+def enumerate_types(degree: int, max_breaks: int | None = None):
     """All combinatorial types of the given degree, up to reversal.
 
     Search space is finite since each jump contributes at least 1 to the

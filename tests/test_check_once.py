@@ -35,6 +35,14 @@ def test_fiber_builds_no_slope_sequence(constructions):
     assert constructions == []
 
 
+@pytest.mark.parametrize("argv", [["types", "--degree", "3", "--json"],
+                                  ["strata", "--type", "I", "--json"]])
+def test_degree3_table_commands_build_no_slope_sequence(capsys, constructions, argv):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert constructions == []
+
+
 def test_hurwitz_command_solves_the_fiber_once(capsys, monkeypatch):
     calls = []
     solve = hurwitz.fiber
@@ -44,12 +52,31 @@ def test_hurwitz_command_solves_the_fiber_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+README_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
+
+
+def classify_readme_map(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_MAP)))
+    assert cli.main(["classify", "-", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "I"
+
+
 def test_classify_validates_once(capsys, monkeypatch):
     calls = []
     check = plcore.validate
     monkeypatch.setattr(plcore, "validate", lambda m: calls.append(m) or check(m))
-    readme_map = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(readme_map)))
-    assert cli.main(["classify", "-", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["type"] == "I"
+    classify_readme_map(capsys, monkeypatch)
     assert len(calls) == 1
+
+
+def test_classify_checks_admissibility_once(capsys, monkeypatch):
+    calls = []
+    check = types_enum._admissibility_reasons
+
+    def counted(degree, slopes):
+        calls.append(slopes)
+        return check(degree, slopes)
+    for module in (types_enum, plcore):
+        monkeypatch.setattr(module, "_admissibility_reasons", counted)
+    classify_readme_map(capsys, monkeypatch)
+    assert calls == [(3, 4, 5, 4, 3)]

@@ -265,6 +265,7 @@ class TestErrorCodes:
         ("non-generic-configuration", 1, "out", ("hurwitz", "--distances", "1,0,1"), None),
         ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
         ("domain-error", 1, "out", ("types", "--degree", "0"), None),
+        ("invalid-input", 2, "err", ("types", "--degree", "9"), None),
     ])
     def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
                                   stream, argv, stdin):
@@ -288,11 +289,20 @@ class TestErrorCodes:
         (("classify", "-"), {"breaks": [], "slopes": [3], "anchor": "1e200000"}),
         (("tropicalize", "-"), {"p": ["0", "inf"], "q": ["0"]}),
         pytest.param(("classify", "-"), "[" * 100000, id="nested-100000-deep"),
+        (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"]}),
+        (("hurwitz", "--branch", "0,1,2"), None),
+        (("aut", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"], "position": "0"}),
     ])
     def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
         code, out, err = run_stdin(capsys, monkeypatch, argv, obj)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+    def test_unknown_type_label_detail_is_the_message(self, capsys, monkeypatch):
+        code, out, err = run_stdin(capsys, monkeypatch, ("strata", "--type", "XI"))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "invalid-input",
+                                   "detail": "unknown degree-3 type label: 'XI'"}
 
     def test_long_rejected_value_is_not_echoed(self, capsys, monkeypatch):
         long = "7" * 5000  # past the interpreter's int-string digit limit

@@ -57,6 +57,7 @@ CALLS = [
     *_both(["types", "--degree", "3"]),
     *_both(["types", "--degree", "4", "--max-breaks", "2"]),
     *_json(["types", "--degree", "0"]),
+    *_json(["types", "--degree", "9"]),
     (["types"], None),
     (["nosuch"], None),
 
@@ -70,6 +71,7 @@ CALLS = [
 
     *_both(["eval", "-", "--at", "2"], json.dumps(MAP)),
     *_json(["eval", "-", "--at=-inf"], json.dumps(MAP)),
+    *_json(["eval", "-", "--at=-1/2"], json.dumps(MAP)),
     *_json(["eval", "-", "--at", "5/3"], json.dumps(BREAK_FREE_MAP)),
     *_json(["eval", "-", "--at", "inf"], json.dumps(BREAK_FREE_MAP)),
     *_both(["eval", "-", "--at", "2"], json.dumps(INVALID_MAP)),
@@ -80,6 +82,8 @@ CALLS = [
     *_json(["aut", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "0", "1"],
                                      "position": "0"})),
     *_json(["aut", "-"], json.dumps({"slopes": [3, 4, 4, 3], "gaps": ["1", "1"],
+                                     "position": "0"})),
+    *_json(["aut", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"],
                                      "position": "0"})),
 
     *_both(["stratum", "-"], json.dumps(POINT)),
@@ -97,6 +101,8 @@ CALLS = [
     *_json(["classify-compact", "-"],
            json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "-inf", "1"]})),
     *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 5, 3], "gaps": ["1"]})),
+    *_json(["classify-compact", "-"],
+           json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"]})),
 
     *_both(["from-relu", "-"], json.dumps(NET)),
     *_both(["from-relu", "-"], json.dumps(HALF_SLOPE_NET)),
@@ -124,6 +130,8 @@ CALLS = [
 
     *_both(["hurwitz", "--distances", "4,10,4"]),
     *_json(["hurwitz", "--branch", "0,1,3,7"]),
+    *_json(["hurwitz", "--branch=-1,0,2,5"]),
+    *_json(["hurwitz", "--branch", "0,1,2"]),
     *_both(["hurwitz", "--distances", "1,0,1"]),
     *_json(["hurwitz", "--distances", "1,2"]),
     *_json(["hurwitz", "--distances", "a,b,c"]),

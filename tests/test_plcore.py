@@ -234,6 +234,11 @@ class TestAutomorphismActions:
         assert maps_equal(apply_source_automorphism(example_map, 1, 0),
                           example_map)
 
+    @pytest.mark.parametrize("act", [apply_target_automorphism, apply_source_automorphism])
+    def test_sign_zero_rejected(self, example_map, act):
+        with pytest.raises(ValueError, match="sign must be"):
+            act(example_map, 0, 1)
+
     @given(a=st.fractions(max_denominator=20))
     def test_reflection_involution(self, a):
         m = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)

@@ -162,6 +162,10 @@ class TestSlopeSequence:
         with pytest.raises(ValueError, match="zero jump"):
             SlopeSequence(3, (3, 5, 5, 3))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty slope sequence"):
+            SlopeSequence(3, ())
+
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValueError, match="end slopes"):
             SlopeSequence(3, (3, 4, 5, 6, 7))
