@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
 from .errors import DomainError, InputError, TropmapsError, decoder
-from .rational import format_extended, format_rational, parse_extended
+from .rational import _bounded_echo, format_extended, format_rational, parse_extended
 
 
 def _load_json(path):
@@ -40,7 +40,8 @@ def _valid_map(args):
     m = _map(args)
     report = plcore.validate(m)
     if not report.ok:
-        raise DomainError("; ".join(report.problems), code="invalid-map")
+        raise DomainError(_bounded_echo("; ".join(report.problems), str, 160),
+                          code="invalid-map")
     return m
 
 
@@ -60,8 +61,8 @@ def _branch_configuration(args):
 
 def _rational_function(args):
     obj = _load_json(args.input)
-    return (serialize.polynomial_from_json(serialize._require(obj, "p")),
-            serialize.polynomial_from_json(serialize._require(obj, "q")))
+    return (serialize.polynomial_from_json(serialize._list(obj, "p")),
+            serialize.polynomial_from_json(serialize._list(obj, "q")))
 
 
 # --- ops and payloads ------------------------------------------------------

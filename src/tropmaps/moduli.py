@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, InputError
 from .plcore import TropicalMap, is_admissible, ramification
@@ -51,8 +50,8 @@ class ModuliPoint:
 @dataclass(frozen=True)
 class AutGroup:
     kind: str  # TRIVIAL or Z2
-    reflection_center: Optional[Fraction] = None
-    target_shift: Optional[Fraction] = None
+    reflection_center: Fraction | None = None
+    target_shift: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,10 @@ def automorphisms(p: ModuliPoint) -> AutGroup:
 
 
 def stratum(p: ModuliPoint) -> StratumDescriptor:
-    aut = automorphisms(p)
-    k = p.seq.k
-    if k == 2:
-        return StratumDescriptor(aut.kind, k, aut.kind == Z2, "symmetric-boundary")
-    if k == 3:
-        return StratumDescriptor(aut.kind, k, False, "intermediate")
-    if aut.kind == Z2:
-        return StratumDescriptor(aut.kind, k, True, "symmetric")
-    return StratumDescriptor(aut.kind, k, False, "generic")
+    kind, k = automorphisms(p).kind, p.seq.k
+    label = {2: "symmetric-boundary", 3: "intermediate"}.get(
+        k, "symmetric" if kind == Z2 else "generic")
+    return StratumDescriptor(kind, k, kind == Z2, label)
 
 
 def degenerate(p: ModuliPoint, i: int) -> ModuliPoint:

@@ -46,12 +46,12 @@ def parse_rational(value):
     raise ValueError("not a rational: " + _bounded_echo(value))
 
 
-def _bounded_echo(value, form=repr):
-    """A rejected value written by form for an error message, cut to 40
-    characters plus its length: it can be thousands of digits long."""
+def _bounded_echo(value, form=repr, width=40):
+    """A rejected value (or a message listing several) written by form, cut
+    to width characters plus its length: it can be thousands of digits long."""
     text = form(value)
-    if len(text) > 40:
-        text = "%s... (%d characters)" % (text[:40], len(text))
+    if len(text) > width:
+        text = "%s... (%d characters)" % (text[:width], len(text))
     return text
 
 

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional
 
 from . import moduli
 from .plcore import TropicalMap, _anchor_point, is_admissible
 from .rational import parse_rational
-from .types_enum import canonical_type
+from .types_enum import _D3_LABELS, _is_palindrome
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,9 @@ class SymmetryReport:
     dead_units: tuple
     admissible: bool
     problems: tuple
-    type_label: Optional[str]
-    aut: Optional[str]
-    gap_condition: Optional[tuple]  # (l1, l3, equal) for palindromic k=4 types
+    type_label: str | None
+    aut: str | None
+    gap_condition: tuple | None  # (l1, l3, equal) for palindromic k=4 types
 
 
 def _folded_terms(net: ReLUNetwork):
@@ -141,10 +140,9 @@ def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     if not conv.admissible:
         return SymmetryReport(dead, False, conv.problems, None, None, None)
     point = moduli.moduli_point(conv.map)
-    ctype = canonical_type(point.seq)
-    aut = moduli.automorphisms(point)
     gap_condition = None
-    if ctype.palindromic and point.seq.k == 4:
+    if _is_palindrome(point.seq.slopes) and point.seq.k == 4:
         l1, l3 = point.gaps[0], point.gaps[2]
         gap_condition = (l1, l3, l1 == l3)
-    return SymmetryReport(dead, True, (), ctype.label, aut.kind, gap_condition)
+    return SymmetryReport(dead, True, (), _D3_LABELS[point.seq.slopes],
+                          moduli.automorphisms(point).kind, gap_condition)

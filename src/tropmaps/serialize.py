@@ -1,10 +1,10 @@
 """JSON interchange schemas for maps, moduli points, networks and results.
 
 Rationals travel as lowest-terms strings ("p/q" or a plain integer),
-slopes as JSON integers; the non-integer slope a map converted from a
-network can have travels as a rational string.  Every encoder builds its
-dict in a fixed key order so serialized output is byte-stable; every
-decoder raises InputError (alias SchemaError) on malformed input.
+slopes as JSON integers; a map's slope may also be a rational string, the
+form a map converted from a network writes.  Encoders build their dicts
+in a fixed key order, so output is byte-stable.  Decoders check the JSON
+shape; the constructors check the values.  Either failure is InputError.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .compact import CompactifiedPoint
 from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
-from .rational import _bounded_echo, format_rational, parse_extended
+from .rational import format_rational, parse_extended
 from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
@@ -27,13 +27,12 @@ def _require(obj, key):
     return obj[key]
 
 
-def _int_slopes(values):
-    slopes = []
-    for s in values:
-        if isinstance(s, bool) or not isinstance(s, int):
-            raise SchemaError("slopes must be JSON integers, got " + _bounded_echo(s))
-        slopes.append(s)
-    return tuple(slopes)
+def _list(obj, key):
+    """A list-valued field: a JSON string is not read as its characters."""
+    value = _require(obj, key)
+    if not isinstance(value, list):
+        raise SchemaError("field %r must be a JSON list" % key)
+    return value
 
 
 def map_to_json(m: TropicalMap) -> dict:
@@ -46,8 +45,7 @@ def map_to_json(m: TropicalMap) -> dict:
 
 @decoder
 def map_from_json(obj) -> TropicalMap:
-    return TropicalMap(_require(obj, "breaks"),
-                       _int_slopes(_require(obj, "slopes")),
+    return TropicalMap(_list(obj, "breaks"), _list(obj, "slopes"),
                        _require(obj, "anchor"))
 
 
@@ -61,17 +59,17 @@ def point_to_json(p: ModuliPoint) -> dict:
 
 @decoder
 def point_from_json(obj) -> ModuliPoint:
-    return ModuliPoint(SlopeSequence(3, _int_slopes(_require(obj, "slopes"))),
-                       _require(obj, "gaps"), _require(obj, "position"))
+    return ModuliPoint(SlopeSequence(3, _list(obj, "slopes")),
+                       _list(obj, "gaps"), _require(obj, "position"))
 
 
 @decoder
 def compact_point_from_json(obj) -> CompactifiedPoint:
-    seq = SlopeSequence(3, _int_slopes(_require(obj, "slopes")))
+    seq = SlopeSequence(3, _list(obj, "slopes"))
     # Parsed here as well as in the constructor: JSON Infinity loads as the
     # float inf, which the constructor takes from python callers, while the
     # schema's infinite gap is the string "inf".
-    gaps = tuple(parse_extended(g) for g in _require(obj, "gaps"))
+    gaps = tuple(parse_extended(g) for g in _list(obj, "gaps"))
     return CompactifiedPoint(seq, gaps)
 
 
@@ -87,7 +85,7 @@ def network_to_json(net: ReLUNetwork) -> dict:
 @decoder
 def network_from_json(obj) -> ReLUNetwork:
     units = tuple((_require(u, "w"), _require(u, "b"), _require(u, "a"))
-                  for u in _require(obj, "units"))
+                  for u in _list(obj, "units"))
     return ReLUNetwork(_require(obj, "base_slope"), _require(obj, "base_bias"), units)
 
 

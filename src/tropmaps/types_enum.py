@@ -21,15 +21,16 @@ def _admissibility_reasons(degree, slopes):
         return ["empty slope sequence"]
     reasons = []
     if slopes[0] != degree or slopes[-1] != degree:
-        reasons.append("end slopes (%r, %r) differ from degree %d"
-                       % (slopes[0], slopes[-1], degree))
+        reasons.append("end slopes (%s, %s) differ from degree %d" % (
+            _bounded_echo(slopes[0]), _bounded_echo(slopes[-1]), degree))
     if any(s < 1 for s in slopes):
         reasons.append("non-positive slope present")
     if any(a == b for a, b in zip(slopes, slopes[1:])):
         reasons.append("zero jump (repeated consecutive slope)")
     total = sum(abs(b - a) for a, b in zip(slopes, slopes[1:]))
     if total != 2 * degree - 2:
-        reasons.append("total ramification %d != %d" % (total, 2 * degree - 2))
+        reasons.append("total ramification %s != %d"
+                       % (_bounded_echo(total), 2 * degree - 2))
     return reasons
 
 
@@ -40,13 +41,13 @@ class SlopeSequence:
 
     def __post_init__(self):
         slopes = tuple(self.slopes)
-        for s in slopes:  # int(s) alone would truncate 4.7 to 4 and read True as 1
-            if type(s) is not int and (isinstance(s, (bool, float)) or s != int(s)):
+        for s in slopes:  # int(s) would truncate 4.7, read True as 1, echo "x..." in full
+            if type(s) is not int and (isinstance(s, (bool, float, str)) or s != int(s)):
                 raise ValueError("non-integer slope: " + _bounded_echo(s))
         object.__setattr__(self, "slopes", tuple(map(int, slopes)))
         reasons = _admissibility_reasons(self.degree, self.slopes)
-        if reasons:
-            raise ValueError("; ".join(reasons))
+        if reasons:  # each reason is short, but four of them need not be
+            raise ValueError(_bounded_echo("; ".join(reasons), str, 160))
 
     @property
     def k(self):
@@ -147,7 +148,7 @@ def _admissible_sequences(degree, max_breaks):
 
     def extend(slopes, used):
         s = slopes[-1]
-        if used == budget and s == degree:
+        if used == budget and s == degree and len(slopes) <= max_breaks + 1:
             yield slopes
         remaining = budget - used
         if len(slopes) > max_breaks or remaining == 0:

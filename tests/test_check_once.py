@@ -80,3 +80,17 @@ def test_classify_checks_admissibility_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "_admissibility_reasons", counted)
     classify_readme_map(capsys, monkeypatch)
     assert calls == [(3, 4, 5, 4, 3)]
+
+
+# The canonical network of the type-III map with breaks 0, 1, 2, 3.
+TYPE_III_NET = {"base_slope": "3", "base_bias": "0",
+                "units": [{"w": "1", "b": str(-x), "a": str(a)}
+                          for x, a in enumerate((1, -1, -1, 1))]}
+
+
+def test_symmetry_builds_one_slope_sequence(capsys, monkeypatch, constructions):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_III_NET)))
+    assert cli.main(["symmetry", "-", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "III" and payload["gap_condition"] is None
+    assert constructions == [(3, 4, 3, 2, 3)]

@@ -292,6 +292,15 @@ class TestErrorCodes:
         (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"]}),
         (("hurwitz", "--branch", "0,1,2"), None),
         (("aut", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"], "position": "0"}),
+        # a string where a list belongs is not read as its characters
+        (("classify", "-"), {"breaks": "13", "slopes": [3, 4, 3], "anchor": "0"}),
+        (("classify", "-"), {"breaks": ["0"], "slopes": "33", "anchor": "0"}),
+        (("aut", "-"), {"slopes": [3, 5, 3], "gaps": "2", "position": "0"}),
+        (("classify-compact", "-"), {"slopes": "34543", "gaps": ["1", "2", "1"]}),
+        (("classify-compact", "-"), {"slopes": [3, 4, 5, 4, 3], "gaps": "121"}),
+        (("from-relu", "-"), {"base_slope": "3", "base_bias": "0", "units": ""}),
+        (("tropicalize", "-"), {"p": "000", "q": ["0"]}),
+        (("tropicalize", "-"), {"p": ["0", "0"], "q": "0"}),
     ])
     def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
         code, out, err = run_stdin(capsys, monkeypatch, argv, obj)
@@ -318,3 +327,16 @@ class TestErrorCodes:
         problems = json.loads(out)["problems"]
         assert code == 0 and err == "" and problems
         assert all(len(p) < 200 for p in problems) and "8001 characters" in problems[0]
+        # a 4,000-digit slope reaches the admissibility rule, which echoes it
+        # and the total ramification cut short
+        big = int("7" * 4000)
+        point = {"slopes": [3, 4, 5, 4, big], "gaps": ["1", "1", "1"], "position": "0"}
+        code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-", "--json"), point)
+        detail = json.loads(err)["detail"]
+        assert code == 2 and out == "" and len(detail) < 200
+        assert "end slopes (3, 7777" in detail and "(4000 characters)" in detail
+        m = {"breaks": ["0", "1"], "slopes": [3, big, 3], "anchor": "0"}
+        code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-", "--json"), m)
+        reasons = json.loads(out)["reasons"]
+        assert code == 0 and err == "" and reasons
+        assert all(len(r) < 200 for r in reasons) and "(4001 characters)" in reasons[0]

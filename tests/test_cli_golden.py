@@ -38,6 +38,8 @@ DEAD_NET = {"base_slope": "3", "base_bias": "1",
                       {"w": "2", "b": "-2", "a": "1"}, {"w": "1", "b": "-1", "a": "-2"},
                       {"w": "0", "b": "1", "a": "0"}, {"w": "-1", "b": "3", "a": "1"}]}
 HALF_SLOPE_NET = {"base_slope": "1/2", "base_bias": "0", "units": []}
+# the map from-relu writes for a network with a 1/2 base slope
+HALF_SLOPE_MAP = {"breaks": ["1"], "slopes": ["1/2", "3/2"], "anchor": "1/2"}
 LONG_UNIT_NET = {"base_slope": "3", "base_bias": "0",
                  "units": [{"w": "1", "b": "0", "a": "1/1" + "0" * 3999}]}
 LONG = "7" * 5000
@@ -58,6 +60,7 @@ CALLS = [
     *_both(["types", "--degree", "4", "--max-breaks", "2"]),
     *_json(["types", "--degree", "0"]),
     *_json(["types", "--degree", "9"]),
+    *_json(["types", "--degree", "1", "--max-breaks", "-1"]),
     (["types"], None),
     (["nosuch"], None),
 
@@ -68,6 +71,8 @@ CALLS = [
     *_json(["classify", "-"], json.dumps({"breaks": [], "slopes": [3], "anchor": LONG})),
     *_json(["classify", "-"], json.dumps({"breaks": ["1/2", "1/2"], "slopes": [3, 4, 3],
                                           "anchor": "0"})),
+    *_json(["classify", "-"], json.dumps({"breaks": "13", "slopes": [3, 4, 3], "anchor": "0"})),
+    *_json(["classify", "-"], json.dumps(HALF_SLOPE_MAP)),
 
     *_both(["eval", "-", "--at", "2"], json.dumps(MAP)),
     *_json(["eval", "-", "--at=-inf"], json.dumps(MAP)),
@@ -85,6 +90,7 @@ CALLS = [
                                      "position": "0"})),
     *_json(["aut", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"],
                                      "position": "0"})),
+    *_json(["aut", "-"], json.dumps({"slopes": [3, 5, 3], "gaps": "2", "position": "0"})),
 
     *_both(["stratum", "-"], json.dumps(POINT)),
     *_json(["stratum", "-"], json.dumps({"slopes": "345", "gaps": [], "position": "0"})),
@@ -103,11 +109,13 @@ CALLS = [
     *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 5, 3], "gaps": ["1"]})),
     *_json(["classify-compact", "-"],
            json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"]})),
+    *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": "121"})),
 
     *_both(["from-relu", "-"], json.dumps(NET)),
     *_both(["from-relu", "-"], json.dumps(HALF_SLOPE_NET)),
     *_json(["from-relu", "-"], json.dumps(LONG_UNIT_NET)),
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "units": []})),
+    *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "base_bias": "0", "units": ""})),
 
     *_both(["to-relu", "-"], json.dumps(MAP)),
     *_json(["to-relu", "-"], json.dumps(BREAK_FREE_MAP)),
@@ -127,6 +135,8 @@ CALLS = [
     *_json(["tropicalize", "-"], json.dumps({"p": ["-inf", "-inf"], "q": ["0"]})),
     *_json(["tropicalize", "-"], json.dumps({"p": [], "q": ["0"]})),
     *_json(["tropicalize", "-"], json.dumps({"p": ["0", "inf"], "q": ["0"]})),
+    *_json(["tropicalize", "-"], json.dumps({"p": "000", "q": ["0"]})),
+    *_json(["tropicalize", "-"], json.dumps({"p": ["0", "0"], "q": "0"})),
 
     *_both(["hurwitz", "--distances", "4,10,4"]),
     *_json(["hurwitz", "--branch", "0,1,3,7"]),

@@ -76,7 +76,7 @@ class TestEnumeration:
         oracle = oracle_types(degree)
         got = {t.canonical.slopes for t in enumerate_types(degree)}
         assert got == oracle
-        for cap in range(2 * degree - 1):
+        for cap in range(-1, 2 * degree - 1):
             got = [t.canonical.slopes for t in enumerate_types(degree, cap)]
             assert len(got) == len(set(got))
             assert set(got) == {s for s in oracle if len(s) - 1 <= cap}
