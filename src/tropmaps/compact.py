@@ -11,9 +11,10 @@ labels with no map realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import DomainError
+from .plcore import _merge_kinks
 from .rational import POS_INF, is_infinite, parse_extended
 from .types_enum import _D3_LABELS, SlopeSequence
 
@@ -61,22 +62,6 @@ def _coordinate_state(g):
     return OPEN
 
 
-def _merge_jumps(jumps, states):
-    """Sum each run of jumps joined by zero gaps, left to right.
-
-    Gap i lies between jumps i and i+1 (1-based), so a zero gap joins only
-    neighbours and every group is a contiguous run.  Runs summing to zero
-    cancel entirely, so cascades may end in a break-free sequence.
-    """
-    runs = [jumps[0]]
-    for jump, state in zip(jumps[1:], states):
-        if state == ZERO:
-            runs[-1] += jump
-        else:
-            runs.append(jump)
-    return [r for r in runs if r]
-
-
 def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
     """Coordinate states, collision tags, and the limit slope sequence."""
     states = tuple(_coordinate_state(g) for g in p.extended_gaps)
@@ -84,9 +69,9 @@ def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
                         else REDUCED_VARIATION)
                        for i, st in enumerate(states, start=1) if st == ZERO)
     infinity = tuple(i for i, st in enumerate(states, start=1) if st == INFINITE)
-    slopes = [3]
-    for j in _merge_jumps(p.seq.jumps, states):
-        slopes.append(slopes[-1] + j)
+    # Breaks i and i+1 sit at one position exactly when gap i is zero.
+    at = accumulate((st != ZERO for st in states), initial=0)
+    _, slopes = _merge_kinks(p.seq.slopes[0], zip(at, p.seq.jumps))
     label = _D3_LABELS.get(tuple(slopes))
     return BoundaryStratum(states, sum(1 for s in states if s != OPEN),
                            collisions, infinity, tuple(slopes),

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InputError
 from .plcore import TropicalMap, is_admissible, ramification
-from .rational import parse_rational
+from .rational import _bounded_echo, parse_rational
 from .types_enum import SlopeSequence, _is_palindrome
 
 TRIVIAL = "trivial"
@@ -76,7 +76,8 @@ def moduli_point(m: TropicalMap) -> ModuliPoint:
     """Forget the anchor (target-translation quotient) and pass to gap coordinates."""
     report = is_admissible(m, 3)
     if not report:
-        raise DomainError("inadmissible map: " + "; ".join(report.reasons),
+        raise DomainError("inadmissible map: "
+                          + _bounded_echo("; ".join(report.reasons), str, 160),
                           code="inadmissible-map")
     seq = SlopeSequence(3, m.slopes)
     gaps = tuple(b - a for a, b in zip(m.break_points, m.break_points[1:]))

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter, sub
 
 from .errors import InputError
 from .rational import POS_INF, _bounded_echo, format_rational, is_infinite, parse_rational
@@ -230,30 +231,42 @@ def envelope(p: TropicalPolynomial) -> TropicalMap:
                        m0 * _anchor_point(corners) + b0)
 
 
-def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
-    """The function a - b in map form, with zero jumps removed.
+def _kinks(m: TropicalMap):
+    """m as (slope, intercept, kinks): m(x) = slope*x + intercept plus
+    jump * max(0, x - t) for each kink (t, jump), kinks in break order."""
+    s = m.slopes[0]
+    return (s, m.anchor_value - s * _anchor_point(m.break_points),
+            list(zip(m.break_points, map(sub, m.slopes[1:], m.slopes))))
 
-    One merge walk over the two sorted break lists: with i breaks of a and
-    j breaks of b passed, a.slopes[i] - b.slopes[j] is the slope that follows.
-    """
-    xa, xb = a.break_points, b.break_points
-    i = j = 0
-    breaks, slopes = [], [a.slopes[0] - b.slopes[0]]
-    while i < len(xa) or j < len(xb):
-        if j == len(xb) or (i < len(xa) and xa[i] < xb[j]):
-            x = xa[i]
-            i += 1
-        else:
-            x = xb[j]
-            j += 1
-            if i < len(xa) and xa[i] == x:
-                i += 1
-        s = a.slopes[i] - b.slopes[j]
-        if s != slopes[-1]:
-            breaks.append(x)
-            slopes.append(s)
-    at = _anchor_point(breaks)
-    return TropicalMap(tuple(breaks), tuple(slopes), evaluate(a, at) - evaluate(b, at))
+
+def _merge_kinks(slope, kinks):
+    """Breaks and slopes of slope*x plus kinks (t, jump) sorted by t: the
+    jumps at one t add up, and a t whose jumps cancel is no break."""
+    breaks, slopes = [], [slope]
+    t = jump = None
+    for x, j in kinks:
+        if x == t:
+            jump += j
+            continue
+        if jump:
+            breaks.append(t)
+            slopes.append(slopes[-1] + jump)
+        t, jump = x, j
+    if jump:
+        breaks.append(t)
+        slopes.append(slopes[-1] + jump)
+    return breaks, slopes
+
+
+def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
+    """The function a - b in map form: the kinks of a and of -b, sorted
+    together and merged."""
+    sa, ca, kinks = _kinks(a)
+    sb, cb, kb = _kinks(b)
+    kinks += [(x, -j) for x, j in kb]
+    kinks.sort(key=itemgetter(0))
+    breaks, slopes = _merge_kinks(sa - sb, kinks)
+    return TropicalMap(breaks, slopes, (sa - sb) * _anchor_point(breaks) + ca - cb)
 
 
 def tropicalize_rational(p: TropicalPolynomial, q: TropicalPolynomial) -> TropicalMap:

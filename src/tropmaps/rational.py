@@ -7,7 +7,10 @@ used at evaluation boundaries.
 
 import math
 import re
+import sys
 from fractions import Fraction
+
+from .errors import DomainError
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -56,11 +59,19 @@ def _bounded_echo(value, form=repr, width=40):
 
 
 def format_rational(x):
-    """Lowest-terms string: "p/q", or plain "p" for integers."""
+    """Lowest-terms string: "p/q", or plain "p" for integers.
+
+    A numerator or denominator past the interpreter's int-string digit
+    limit raises DomainError (code result-too-large).
+    """
     x = x if isinstance(x, (int, Fraction)) else Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:
+        raise DomainError("result too large to print: over %d digits"
+                          % sys.get_int_max_str_digits(), code="result-too-large") from None
 
 
 def parse_extended(value):

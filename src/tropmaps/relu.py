@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from operator import itemgetter
 
 from . import moduli
-from .plcore import TropicalMap, _anchor_point, is_admissible
+from .plcore import TropicalMap, _anchor_point, _kinks, _merge_kinks, is_admissible
 from .rational import parse_rational
 from .types_enum import _D3_LABELS, _is_palindrome
 
@@ -69,12 +68,12 @@ def _folded_terms(net: ReLUNetwork):
 
     Uses max(0, u) = u + max(0, -u) to flip negative-weight units, and
     folds zero-weight units into the bias.  Returns (slope, bias, terms)
-    with terms a list of (threshold, jump, unit index); jumps can be zero
-    here (dead a_j = 0 units) and cancel later.
+    with terms a list of (threshold, jump); jumps can be zero here (dead
+    a_j = 0 units) and cancel later.
     """
     slope, bias = net.base_slope, net.base_bias
     terms = []
-    for idx, (w, b, a) in enumerate(net.units):
+    for w, b, a in net.units:
         if not w:
             bias += a * max(Fraction(0), b)
             continue
@@ -83,60 +82,39 @@ def _folded_terms(net: ReLUNetwork):
             slope += jump
             bias += a * b
             jump = -jump
-        terms.append((-b / w, jump, idx))
+        terms.append((-b / w, jump))
     return slope, bias, terms
 
 
-def _convert(net: ReLUNetwork):
-    """network_to_map, plus the merged kinks: (threshold, summed jump, unit
-    indices) for each run of equal thresholds, in increasing order."""
+def network_to_map(net: ReLUNetwork) -> NetworkConversion:
+    """Exact conversion: a sort of the folded kinks by threshold, then one
+    merge of equal thresholds that drops the ones whose jumps cancel."""
     slope, bias, terms = _folded_terms(net)
     terms.sort(key=itemgetter(0))
-    kinks, breaks, slopes = [], [], [slope]
-    for theta, run in groupby(terms, key=itemgetter(0)):
-        _, jump, idx = next(run)
-        indices = [idx]
-        for _, j, idx in run:
-            jump += j
-            indices.append(idx)
-        kinks.append((theta, jump, indices))
-        if jump:
-            breaks.append(theta)
-            slopes.append(slopes[-1] + jump)
-    # Thresholds above break 0 are inactive there.
-    m = TropicalMap(tuple(breaks), tuple(slopes), slope * _anchor_point(breaks) + bias)
+    breaks, slopes = _merge_kinks(slope, terms)
+    m = TropicalMap(breaks, slopes, slope * _anchor_point(breaks) + bias)
     report = is_admissible(m, 3)
-    return NetworkConversion(m, report.admissible, report.reasons), kinks
-
-
-def network_to_map(net: ReLUNetwork) -> NetworkConversion:
-    """Exact conversion, merging coincident thresholds and dropping zero
-    jumps: a sort of the thresholds plus one pass."""
-    return _convert(net)[0]
+    return NetworkConversion(m, report.admissible, report.reasons)
 
 
 def map_to_network(m: TropicalMap) -> ReLUNetwork:
     """Canonical network of a map: all hidden weights +1, one unit per break."""
-    units = tuple((Fraction(1), -x, Fraction(b - a))
-                  for x, a, b in zip(m.break_points, m.slopes, m.slopes[1:]))
-    bias = m.anchor_value - m.slopes[0] * _anchor_point(m.break_points)
-    return ReLUNetwork(Fraction(m.slopes[0]), bias, units)
+    slope, intercept, kinks = _kinks(m)
+    units = tuple((Fraction(1), -x, Fraction(jump)) for x, jump in kinks)
+    return ReLUNetwork(Fraction(slope), intercept, units)
 
 
 def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     """Dead units, combinatorial type, and the symmetry of the induced map."""
-    reasons = {}  # unit index -> why the unit is dead
+    conv = network_to_map(net)
+    breaks = set(conv.map.break_points)
+    dead = []
     for idx, (w, b, a) in enumerate(net.units):
-        if a == 0:
-            reasons[idx] = "zero-coefficient"
-        elif w == 0:
-            reasons[idx] = "zero-weight"
-    conv, kinks = _convert(net)
-    for _, jump, indices in kinks:
-        if not jump:
-            for idx in indices:
-                reasons.setdefault(idx, "cancelled-threshold")
-    dead = tuple(DeadUnit(idx, reasons[idx]) for idx in sorted(reasons))
+        reason = ("zero-coefficient" if a == 0 else "zero-weight" if w == 0
+                  else None if -b / w in breaks else "cancelled-threshold")
+        if reason:
+            dead.append(DeadUnit(idx, reason))
+    dead = tuple(dead)
     if not conv.admissible:
         return SymmetryReport(dead, False, conv.problems, None, None, None)
     point = moduli.moduli_point(conv.map)

@@ -91,4 +91,6 @@ def network_from_json(obj) -> ReLUNetwork:
 
 @decoder
 def polynomial_from_json(values) -> TropicalPolynomial:
+    if not isinstance(values, list):
+        raise SchemaError("a polynomial must be a JSON list of coefficients")
     return TropicalPolynomial(tuple(parse_extended(c) for c in values))

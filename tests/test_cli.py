@@ -266,6 +266,8 @@ class TestErrorCodes:
         ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
         ("domain-error", 1, "out", ("types", "--degree", "0"), None),
         ("invalid-input", 2, "err", ("types", "--degree", "9"), None),
+        ("result-too-large", 1, "out", ("eval", "-", "--at", "7" * 3000),
+         {"breaks": [], "slopes": [int("7" * 3000)], "anchor": "0"}),
     ])
     def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
                                   stream, argv, stdin):

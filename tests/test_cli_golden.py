@@ -43,6 +43,11 @@ HALF_SLOPE_MAP = {"breaks": ["1"], "slopes": ["1/2", "3/2"], "anchor": "1/2"}
 LONG_UNIT_NET = {"base_slope": "3", "base_bias": "0",
                  "units": [{"w": "1", "b": "0", "a": "1/1" + "0" * 3999}]}
 LONG = "7" * 5000
+# f(x) = 3x + max(0, 1 - x) - max(0, x - 1) = 2x + 1: both kinks sit at 1
+# with jumps +1 and -1 after folding, so they cancel and leave no break
+CANCELLING_NET = {"base_slope": "3", "base_bias": "0",
+                  "units": [{"w": "1", "b": "-1", "a": "-1"}, {"w": "-1", "b": "1", "a": "1"}]}
+HUGE = "7" * 3000  # the value N*N at N has 6,000 digits, past the print limit
 
 
 def _both(argv, stdin=None):
@@ -81,6 +86,8 @@ CALLS = [
     *_json(["eval", "-", "--at", "inf"], json.dumps(BREAK_FREE_MAP)),
     *_both(["eval", "-", "--at", "2"], json.dumps(INVALID_MAP)),
     *_json(["eval", "-", "--at", "zz"], json.dumps(MAP)),
+    *_json(["eval", "-", "--at", HUGE],
+           json.dumps({"breaks": [], "slopes": [int(HUGE)], "anchor": "0"})),
 
     *_both(["aut", "-"], json.dumps(POINT)),
     *_json(["aut", "-"], json.dumps(ASYMMETRIC_POINT)),
@@ -110,12 +117,15 @@ CALLS = [
     *_json(["classify-compact", "-"],
            json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "1"]})),
     *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": "121"})),
+    *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 4, 3, 4, 3],
+                                                  "gaps": ["0", "0", "0"]})),
 
     *_both(["from-relu", "-"], json.dumps(NET)),
     *_both(["from-relu", "-"], json.dumps(HALF_SLOPE_NET)),
     *_json(["from-relu", "-"], json.dumps(LONG_UNIT_NET)),
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "units": []})),
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "base_bias": "0", "units": ""})),
+    *_json(["from-relu", "-"], json.dumps(CANCELLING_NET)),
 
     *_both(["to-relu", "-"], json.dumps(MAP)),
     *_json(["to-relu", "-"], json.dumps(BREAK_FREE_MAP)),
@@ -137,6 +147,8 @@ CALLS = [
     *_json(["tropicalize", "-"], json.dumps({"p": ["0", "inf"], "q": ["0"]})),
     *_json(["tropicalize", "-"], json.dumps({"p": "000", "q": ["0"]})),
     *_json(["tropicalize", "-"], json.dumps({"p": ["0", "0"], "q": "0"})),
+    # max(0, x, 2x - 1) - max(0, x): the shared corner at 0 cancels
+    *_json(["tropicalize", "-"], json.dumps({"p": ["0", "0", "-1"], "q": ["0", "0"]})),
 
     *_both(["hurwitz", "--distances", "4,10,4"]),
     *_json(["hurwitz", "--branch", "0,1,3,7"]),

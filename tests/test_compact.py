@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,25 @@ DEGENERATE_LABELS = {"VI", "VII", "VIII", "IX", "X"}
 
 def cp(label, gaps):
     return CompactifiedPoint(registry_sequence(label), gaps)
+
+
+def limit_slopes_oracle(seq, states):
+    """The limit slope sequence read pointwise off
+    f(x) = s_0*x + sum(jump_i * max(0, x - x_i)), where break i+1 sits one
+    unit right of break i unless gap i is zero: the slope of f between
+    neighbouring distinct positions and beyond both ends, with each slope
+    that repeats its left neighbour dropped (no kink there)."""
+    xs = [0]
+    for state in states:
+        xs.append(xs[-1] if state == "zero" else xs[-1] + 1)
+
+    def f(x):
+        return seq.slopes[0] * x + sum(j * max(0, x - xi) for xi, j in zip(xs, seq.jumps))
+
+    ends = sorted(set(xs))
+    samples = [ends[0] - 1, *ends, ends[-1] + 1]
+    read = [Fraction(f(y) - f(x), y - x) for x, y in zip(samples, samples[1:])]
+    return tuple(s for i, s in enumerate(read) if i == 0 or s != read[i - 1])
 
 
 class TestClassifyStratum:
@@ -102,6 +122,12 @@ class TestFaceLattice:
             variation = sum(abs(b - a) for a, b in
                             zip(s.limit_slopes, s.limit_slopes[1:]))
             assert s.in_moduli == (variation == 4)
+
+    @pytest.mark.parametrize("label", ["I", "II", "III", "IV", "V"])
+    def test_limit_slopes_match_the_pointwise_oracle(self, label):
+        seq = registry_sequence(label)
+        for s in face_lattice(seq):
+            assert s.limit_slopes == limit_slopes_oracle(seq, s.coordinate_states)
 
     def test_type_i_codim1_collisions(self):
         by_index = {}

@@ -38,6 +38,13 @@ class TestModuliCoordinates:
         with pytest.raises(ValueError, match="inadmissible"):
             moduli_point(TropicalMap((0, 1), (3, 4, 3), 0))
 
+    def test_inadmissible_message_is_bounded(self):
+        # 20 zero-jump breaks: the joined reasons run to 878 characters
+        with pytest.raises(ValueError) as info:
+            moduli_point(TropicalMap(tuple(range(20)), (3,) * 21, 0))
+        text = str(info.value)
+        assert len(text) <= 200 and text.endswith("(878 characters)")
+
     def test_representative_roundtrip(self, example_map):
         p = moduli_point(example_map)
         assert maps_equal(representative_map(p), example_map)

@@ -4,7 +4,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tropmaps import (TropicalMap, TropicalPolynomial, apply_source_automorphism,
                       apply_target_automorphism, evaluate,
@@ -270,6 +270,44 @@ class TestSegmentSlopeProperty:
             diff = plcore.piecewise_difference(f, g)
             s = (evaluate(f, y) - evaluate(g, y) - evaluate(f, x) + evaluate(g, x)) / d
             assert s == diff.slopes[bisect_right(diff.break_points, x)]
+
+
+@st.composite
+def map_pairs(draw):
+    """Two valid maps whose breaks come from one pool of up to 8 points, so
+    they share breaks; at a shared break b's jump is often a's, so the kink
+    cancels in a - b."""
+    pool = sorted(draw(st.lists(RATIONALS, unique=True, max_size=8)))
+    jumps = st.integers(-3, 3).filter(bool)
+    a_jumps = {x: draw(jumps) for x in pool if draw(st.booleans())}
+    b_jumps = {x: a_jumps[x] if x in a_jumps and draw(st.booleans()) else draw(jumps)
+               for x in pool if draw(st.booleans())}
+    maps = []
+    for kinks in (a_jumps, b_jumps):
+        slopes = [draw(st.integers(-3, 3))]
+        for x in sorted(kinks):
+            slopes.append(slopes[-1] + kinks[x])
+        maps.append(TropicalMap(tuple(sorted(kinks)), tuple(slopes), draw(RATIONALS)))
+    return maps
+
+
+class TestPiecewiseDifference:
+    @settings(max_examples=30)
+    @given(pair=map_pairs())
+    def test_pointwise_difference(self, pair):
+        a, b = pair
+        diff = plcore.piecewise_difference(a, b)
+        assert validate(diff).ok
+        xs = sorted(set(a.break_points + b.break_points)) or [Fraction(0)]
+        assert set(diff.break_points) <= set(xs)
+        samples = [xs[0] - 1, *xs, *((x + y) / 2 for x, y in zip(xs, xs[1:])), xs[-1] + 1]
+        for x in samples:
+            assert evaluate(diff, x) == evaluate(a, x) - evaluate(b, x)
+
+    @settings(max_examples=10)
+    @given(m=valid_maps())
+    def test_self_difference_is_the_zero_map(self, m):
+        assert plcore.piecewise_difference(m, m) == TropicalMap((), (0,), 0)
 
 
 class TestTropicalPolynomial:

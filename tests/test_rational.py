@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tropmaps.errors import DomainError
 from tropmaps.rational import format_rational, parse_rational
 
 
@@ -21,6 +22,14 @@ class TestFormatRational:
                                          (Fraction(-8, 2), "-4"), (10 ** 30, "1" + "0" * 30)])
     def test_examples(self, x, text):
         assert format_rational(x) == text
+
+    @pytest.mark.parametrize("x", [10 ** 5000, Fraction(1, 10 ** 5000)],
+                             ids=["numerator", "denominator"])
+    def test_past_the_digit_limit_is_a_coded_error(self, x):
+        with pytest.raises(DomainError) as info:
+            format_rational(x)
+        assert info.value.code == "result-too-large" and info.value.exit_code == 1
+        assert "4300 digits" in str(info.value) and len(str(info.value)) < 80
 
 
 class TestParseRational:
