@@ -1,9 +1,10 @@
 """Command-line interface: JSON in, JSON (or a small table) out.
 
 Every subcommand is one row of COMMANDS and runs load -> decode -> op ->
-encode.  Exit codes: 0 success, 1 domain error, 2 malformed input.  An
-error prints {"error": code, "detail": text}: input errors on stderr,
-domain errors on stdout.  The README lists every code.
+encode.  Exit codes: 0 success, 1 domain error, 2 malformed input, 3 a
+fault of the program itself.  An error prints {"error": code, "detail":
+text}: domain errors on stdout, the others on stderr.  The README lists
+every code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from collections import Counter
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
 from .errors import DomainError, InputError, TropmapsError, decoder
-from .rational import _bounded_echo, format_extended, format_rational, parse_extended
+from .rational import (_bounded_echo, _too_large, format_extended, format_rational,
+                       parse_extended)
 
 
 def _load_json(path):
@@ -54,7 +56,7 @@ def _network(args):
 
 
 def _branch_configuration(args):
-    if args.branch:
+    if args.branch is not None:   # an empty --branch= is a bad value, not an absent one
         return hurwitz.BranchConfiguration.from_branch_points(args.branch.split(","))
     return hurwitz.BranchConfiguration(tuple(args.distances.split(",")))
 
@@ -73,9 +75,9 @@ _MAX_DEGREE = 8   # types: d=8 lists 235,734 types, each degree costs about 8x m
 def _types(degree, max_breaks):
     if degree > _MAX_DEGREE:
         raise InputError("degree must be at most %d" % _MAX_DEGREE)
-    if degree == 3 and max_breaks is None:
-        return types_enum.registry_d3()
-    return types_enum.enumerate_types(degree, max_breaks)
+    if degree != 3:
+        return types_enum.enumerate_types(degree, max_breaks)
+    return [t for t in types_enum.registry_d3() if max_breaks is None or t.k <= max_breaks]
 
 
 def _type_json(t):
@@ -254,10 +256,13 @@ def _runner(decode, op, encode, human):
     def run(args):
         result = op(decode(args))
         payload = result if encode is None else encode(result)
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            human(payload)
+        try:
+            if args.json:
+                print(json.dumps(payload))
+            else:
+                human(payload)
+        except ValueError:   # an int past the interpreter's int-string digit limit
+            raise _too_large() from None
     return run
 
 
@@ -296,6 +301,10 @@ def main(argv=None):
         return _report(exc)
     except ValueError as exc:   # an uncoded rejection raised by a module
         return _report(DomainError(str(exc)))
+    except Exception as exc:    # a fault of the program, not of its input
+        detail = _bounded_echo("%s: %s" % (type(exc).__name__, exc), str, 160)
+        print(json.dumps({"error": "internal-error", "detail": detail}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

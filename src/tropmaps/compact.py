@@ -33,7 +33,8 @@ class CompactifiedPoint:
 
     def __post_init__(self):
         if self.seq.k != 4:
-            raise ValueError("compactified cells exist for four-break types only")
+            raise DomainError("compactified cells exist for four-break types only, "
+                              "got k=%d" % self.seq.k, code="not-a-maximal-type")
         gaps = tuple(g if is_infinite(g) else parse_extended(g)
                      for g in self.extended_gaps)
         object.__setattr__(self, "extended_gaps", gaps)
@@ -80,8 +81,5 @@ def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
 
 def face_lattice(seq: SlopeSequence):
     """All 27 coordinate-state faces of the cube of a four-break type."""
-    if seq.k != 4:
-        raise DomainError("face lattice needs a four-break type, got k=%d" % seq.k,
-                          code="not-a-maximal-type")
     return [classify_stratum(CompactifiedPoint(seq, gaps))
             for gaps in product((0, 1, POS_INF), repeat=3)]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError
-from .plcore import TropicalMap, is_admissible, ramification
-from .rational import _bounded_echo, parse_rational
+from .plcore import TropicalMap, _anchor_point, ramification
+from .rational import parse_rational
 from .types_enum import SlopeSequence, _is_palindrome
 
 TRIVIAL = "trivial"
@@ -74,14 +74,12 @@ class WeightedTropicalCurve:
 
 def moduli_point(m: TropicalMap) -> ModuliPoint:
     """Forget the anchor (target-translation quotient) and pass to gap coordinates."""
-    report = is_admissible(m, 3)
-    if not report:
-        raise DomainError("inadmissible map: "
-                          + _bounded_echo("; ".join(report.reasons), str, 160),
-                          code="inadmissible-map")
-    seq = SlopeSequence(3, m.slopes)
-    gaps = tuple(b - a for a, b in zip(m.break_points, m.break_points[1:]))
-    return ModuliPoint(seq, gaps, m.break_points[0])
+    xs = m.break_points
+    try:
+        return ModuliPoint(SlopeSequence(3, m.slopes),
+                           tuple(b - a for a, b in zip(xs, xs[1:])), _anchor_point(xs))
+    except ValueError as exc:
+        raise DomainError("inadmissible map: %s" % exc, code="inadmissible-map") from None
 
 
 def representative_map(p: ModuliPoint) -> TropicalMap:

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter, sub
 
 from .errors import InputError
-from .rational import POS_INF, _bounded_echo, format_rational, is_infinite, parse_rational
+from .rational import POS_INF, _bounded_echo, is_infinite, parse_rational
 from .types_enum import _admissibility_reasons
 
 
@@ -108,15 +108,13 @@ def validate(m: TropicalMap) -> ValidationReport:
         problems.append("slope count must be break count + 1")
     for s in m.slopes:
         if not isinstance(s, int):
-            problems.append("non-integer slope: " + _bounded_echo(s, format_rational))
+            problems.append("non-integer slope: " + _bounded_echo(s))
     for a, b in zip(m.break_points, m.break_points[1:]):
         if a >= b:
-            problems.append("break points not strictly increasing at "
-                            + _bounded_echo(b, format_rational))
+            problems.append("break points not strictly increasing at " + _bounded_echo(b))
     for a, b in zip(m.slopes, m.slopes[1:]):
         if a == b:
-            problems.append("zero jump at slope %s (break is not a kink)"
-                            % _bounded_echo(a, format_rational))
+            problems.append("zero jump at slope %s (break is not a kink)" % _bounded_echo(a))
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -149,11 +147,8 @@ def evaluate(m: TropicalMap, x):
         raise InputError(str(exc)) from exc
     if not m.break_points or x <= m.break_points[0]:
         return m.anchor_value + m.slopes[0] * (x - _anchor_point(m.break_points))
-    vals = m.break_point_values
-    if x >= m.break_points[-1]:
-        return vals[-1] + m.slopes[-1] * (x - m.break_points[-1])
     j = bisect_right(m.break_points, x) - 1
-    return vals[j] + m.slopes[j + 1] * (x - m.break_points[j])
+    return m.break_point_values[j] + m.slopes[j + 1] * (x - m.break_points[j])
 
 
 def ramification(m: TropicalMap) -> RamificationProfile:

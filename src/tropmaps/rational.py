@@ -49,10 +49,22 @@ def parse_rational(value):
     raise ValueError("not a rational: " + _bounded_echo(value))
 
 
-def _bounded_echo(value, form=repr, width=40):
+def _bounded_echo(value, form=None, width=40):
     """A rejected value (or a message listing several) written by form, cut
-    to width characters plus its length: it can be thousands of digits long."""
-    text = form(value)
+    to width characters plus its length: it can be thousands of digits long.
+    Without a form an int or a Fraction is written as format_rational writes
+    it and anything else by repr; a number past the interpreter's int-string
+    digit limit is named by its size instead."""
+    number = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    try:
+        text = (form or (format_rational if number else repr))(value)
+    except ValueError:
+        if not number:
+            raise
+        big = max(abs(value.numerator), value.denominator)
+        d = int(math.log10(big))  # floor(log10(big)), or one off after rounding
+        d += (big >= 10 ** (d + 1)) - (big < 10 ** d)
+        return "a number of %d digits" % (d + 1)
     if len(text) > width:
         text = "%s... (%d characters)" % (text[:width], len(text))
     return text
@@ -70,8 +82,13 @@ def format_rational(x):
             return str(x.numerator)
         return "%d/%d" % (x.numerator, x.denominator)
     except ValueError:
-        raise DomainError("result too large to print: over %d digits"
-                          % sys.get_int_max_str_digits(), code="result-too-large") from None
+        raise _too_large() from None
+
+
+def _too_large():
+    """The error for a result past the interpreter's int-string digit limit."""
+    return DomainError("result too large to print: over %d digits"
+                       % sys.get_int_max_str_digits(), code="result-too-large")
 
 
 def parse_extended(value):

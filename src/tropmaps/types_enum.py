@@ -136,7 +136,7 @@ def registry_d3():
 
 def registry_sequence(label: str) -> SlopeSequence:
     if label not in _TYPES_D3:
-        raise KeyError("unknown degree-3 type label: %r" % label)
+        raise KeyError("unknown degree-3 type label: " + _bounded_echo(label))
     return _TYPES_D3[label].representative
 
 

@@ -2,11 +2,12 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz, plcore,
-                      registry_sequence, types_enum)
+from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz, moduli_point,
+                      plcore, registry_sequence, serialize, types_enum)
 
 
 @pytest.fixture
@@ -94,3 +95,36 @@ def test_symmetry_builds_one_slope_sequence(capsys, monkeypatch, constructions):
     payload = json.loads(capsys.readouterr().out)
     assert payload["type"] == "III" and payload["gap_condition"] is None
     assert constructions == [(3, 4, 3, 2, 3)]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """How often validate and _admissibility_reasons run while the test runs."""
+    counts = Counter()
+    validate, reasons = plcore.validate, types_enum._admissibility_reasons
+
+    def counted_validate(m):
+        counts["validate"] += 1
+        return validate(m)
+
+    def counted_reasons(degree, slopes):
+        counts["reasons"] += 1
+        return reasons(degree, slopes)
+    monkeypatch.setattr(plcore, "validate", counted_validate)
+    for module in (types_enum, plcore):
+        monkeypatch.setattr(module, "_admissibility_reasons", counted_reasons)
+    return counts
+
+
+def test_moduli_point_leaves_admissibility_to_the_constructors(checks):
+    p = moduli_point(serialize.map_from_json(README_MAP))
+    assert p.seq.slopes == (3, 4, 5, 4, 3)
+    assert (checks["validate"], checks["reasons"]) == (0, 1)
+
+
+def test_symmetry_checks_the_converted_map_once(capsys, monkeypatch, checks):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_III_NET)))
+    assert cli.main(["symmetry", "-", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["type"] == "III"
+    # network_to_map's admissibility report, then moduli_point's SlopeSequence
+    assert (checks["validate"], checks["reasons"]) == (1, 2)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from tropmaps import TropicalMap, cli, moduli_point
+from tropmaps import TropicalMap, cli, moduli, moduli_point
 
 EXAMPLE_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3],
                "anchor": "0"}
@@ -16,6 +16,7 @@ EXAMPLE_NET = {"base_slope": "3", "base_bias": "0",
                          {"w": "1", "b": "-1", "a": "1"},
                          {"w": "1", "b": "-3", "a": "-1"},
                          {"w": "1", "b": "-4", "a": "-1"}]}
+NINES = "9" * 4000  # one unit of w = a = NINES gives an 8,000-digit slope
 
 
 def run(capsys, *argv):
@@ -51,6 +52,15 @@ class TestTypes:
     def test_other_degree(self, capsys):
         code, rows = run_json(capsys, "types", "--degree", "2")
         assert code == 0 and len(rows) == 2
+
+    @pytest.mark.parametrize("cap, labels", [
+        ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("-1", "")])
+    def test_degree3_cap_filters_the_registry(self, capsys, cap, labels):
+        _, full = run(capsys, "types", "--degree", "3", "--json")
+        code, out = run(capsys, "types", "--degree", "3", "--max-breaks=" + cap, "--json")
+        assert code == 0 and [r["label"] for r in json.loads(out)] == labels.split()
+        assert json.loads(out) == [r for r in json.loads(full) if r["k"] <= int(cap)]
+        assert (out == full) == (cap == "4")
 
     def test_deterministic_output(self, capsys):
         _, a = run(capsys, "types", "--degree", "4", "--json")
@@ -268,6 +278,8 @@ class TestErrorCodes:
         ("invalid-input", 2, "err", ("types", "--degree", "9"), None),
         ("result-too-large", 1, "out", ("eval", "-", "--at", "7" * 3000),
          {"breaks": [], "slopes": [int("7" * 3000)], "anchor": "0"}),
+        ("not-a-maximal-type", 1, "out", ("classify-compact", "-"),
+         {"slopes": [3, 5, 3], "gaps": ["1"]}),
     ])
     def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
                                   stream, argv, stdin):
@@ -276,6 +288,29 @@ class TestErrorCodes:
         assert code == exit_code and silent == ""
         payload = json.loads(shown)
         assert payload["error"] == error and payload["detail"]
+
+    @pytest.mark.parametrize("a", [NINES, NINES + "/7"], ids=["integer", "non-integer"])
+    def test_network_past_the_digit_limit(self, capsys, monkeypatch, a):
+        net = {"base_slope": "0", "base_bias": "0", "units": [{"w": NINES, "b": "0", "a": a}]}
+        for argv in (("from-relu", "-"), ("from-relu", "-", "--json")):
+            code, out, err = run_stdin(capsys, monkeypatch, argv, net)
+            assert (code, err) == (1, "")
+            assert json.loads(out)["error"] == "result-too-large"
+        code, out, err = run_stdin(capsys, monkeypatch, ("symmetry", "-", "--json"), net)
+        problems = json.loads(out)["problems"]
+        assert (code, err) == (0, "") and problems
+        assert all(len(p) <= 200 for p in problems)
+        assert any("a number of 8000 digits" in p for p in problems)
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        for message, detail in (("boom", "RuntimeError: boom"),
+                                ("x" * 1000, "RuntimeError: " + "x" * 146 + "... (1014 characters)")):
+            def broken(p, message=message):
+                raise RuntimeError(message)
+            monkeypatch.setattr(moduli, "automorphisms", broken)
+            code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-", "--json"), EXAMPLE_POINT)
+            assert (code, out) == (3, "") and "Traceback" not in err
+            assert json.loads(err) == {"error": "internal-error", "detail": detail}
 
     def test_inadmissible_map_has_no_subcommand(self):
         with pytest.raises(cli.DomainError) as info:

@@ -1,9 +1,9 @@
 """The CLI's contract over its own formats and over arbitrary JSON.
 
 Every format a subcommand writes is accepted back by the subcommands that
-read it, and every JSON input to a file-reading subcommand ends in exit
-0, 1 or 2 with exactly one short JSON object on the stream its exit code
-names.
+read it, and every JSON input to a file-reading subcommand, like every
+argument value of the three that read no file, ends in exit 0, 1 or 2
+with exactly one short JSON value on the stream its exit code names.
 """
 
 import contextlib
@@ -184,13 +184,58 @@ def reader_calls(draw):
                      json.dumps({"breaks": [str(x) for x in range(20)],
                                  "slopes": [0] * 21, "anchor": "0"})))
 def test_any_json_input_keeps_the_contract(argv_stdin):
-    code, out, err = call(*argv_stdin)
-    assert code in (0, 1, 2)
-    shown, silent = (err, out) if code == 2 else (out, err)
-    assert silent == "" and "Traceback" not in shown
-    assert shown.endswith("\n") and shown.count("\n") == 1
-    payload = json.loads(shown)
+    payload = shown(*call(*argv_stdin))
     assert isinstance(payload, dict)
+    assert_short_texts(payload)
+
+
+def shown(code, out, err):
+    """The one JSON value a call printed, on the stream its exit code names."""
+    assert code in (0, 1, 2)
+    text, silent = (err, out) if code == 2 else (out, err)
+    assert silent == "" and "Traceback" not in text
+    assert text.endswith("\n") and text.count("\n") == 1
+    return json.loads(text)
+
+
+def assert_short_texts(payload):
     texts = [payload.get("detail", ""), *payload.get("problems", []),
              *payload.get("reasons", [])]
     assert all(len(t) <= 200 for t in texts), texts
+
+
+# --- any argument value in, for the three subcommands that read no file -----
+
+# Degrees 6 to 8 are valid too, but each takes 0.1 to 3 s to list.
+DEGREE = st.one_of(st.integers(-2, 5), st.integers(9, 10 ** 6),
+                   LONG_INT.filter(lambda d: not 5 < d < 9))
+CAP = st.one_of(st.integers(-2, 9), LONG_INT)
+NUMBERS = st.lists(st.one_of(RATIONAL_TEXT, st.just("0")), min_size=2, max_size=5).map(",".join)
+TEXT = st.one_of(st.text(max_size=12), NUMBERS)
+LABEL = st.one_of(st.text(max_size=6), st.sampled_from([t.label for t in registry_d3()]))
+
+
+@st.composite
+def no_file_calls(draw):
+    name = draw(st.sampled_from(["types", "hurwitz", "strata"]))
+    if name == "types":
+        options = ["--degree=%d" % draw(DEGREE)]
+        options += draw(st.one_of(NONE, CAP.map(lambda c: ["--max-breaks=%d" % c])))
+    elif name == "hurwitz":
+        options = ["--%s=%s" % (draw(st.sampled_from(["branch", "distances"])), draw(TEXT))]
+    else:
+        options = ["--type=" + draw(LABEL)]
+    return [name, *options, "--json"]
+
+
+@settings(max_examples=45, deadline=None)   # about 15 per subcommand
+@given(argv=no_file_calls())
+@example(argv=["strata", "--type=" + "Z" * 5000, "--json"])
+@example(argv=["hurwitz", "--branch=", "--json"])
+def test_any_argument_value_keeps_the_contract(argv):
+    payload = shown(*call(argv, ""))
+    if argv[0] == "types" and isinstance(payload, list):
+        assert all(isinstance(row, dict) for row in payload)
+    else:
+        assert isinstance(payload, dict)
+        assert_short_texts(payload)

@@ -48,6 +48,10 @@ LONG = "7" * 5000
 CANCELLING_NET = {"base_slope": "3", "base_bias": "0",
                   "units": [{"w": "1", "b": "-1", "a": "-1"}, {"w": "-1", "b": "1", "a": "1"}]}
 HUGE = "7" * 3000  # the value N*N at N has 6,000 digits, past the print limit
+NINES = "9" * 4000
+# one unit of w = a = NINES: an 8,000-digit slope, integer and not
+BIG_SLOPE_NETS = [{"base_slope": "0", "base_bias": "0", "units": [{"w": NINES, "b": "0", "a": a}]}
+                  for a in (NINES, NINES + "/7")]
 
 
 def _both(argv, stdin=None):
@@ -68,6 +72,8 @@ CALLS = [
     *_json(["types", "--degree", "1", "--max-breaks", "-1"]),
     (["types"], None),
     (["nosuch"], None),
+    *_json(["types", "--degree", "3", "--max-breaks", "4"]),
+    *_both(["types", "--degree", "3", "--max-breaks", "3"]),
 
     *_both(["classify", "-"], json.dumps(MAP)),
     *_json(["classify", "-"], json.dumps(INADMISSIBLE_MAP)),
@@ -126,6 +132,7 @@ CALLS = [
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "units": []})),
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "base_bias": "0", "units": ""})),
     *_json(["from-relu", "-"], json.dumps(CANCELLING_NET)),
+    *[call for net in BIG_SLOPE_NETS for call in _both(["from-relu", "-"], json.dumps(net))],
 
     *_both(["to-relu", "-"], json.dumps(MAP)),
     *_json(["to-relu", "-"], json.dumps(BREAK_FREE_MAP)),
@@ -137,6 +144,7 @@ CALLS = [
     *_json(["symmetry", "-"], json.dumps(HALF_SLOPE_NET)),
     *_json(["symmetry", "-"], json.dumps({"base_slope": "3", "base_bias": "0",
                                           "units": [{"w": "1", "b": "0"}]})),
+    *[call for net in BIG_SLOPE_NETS for call in _json(["symmetry", "-"], json.dumps(net))],
 
     *_both(["tropicalize", "-"], json.dumps({"p": ["0", "0", "0", "0"], "q": ["0"]})),
     *_json(["tropicalize", "-"], json.dumps({"p": ["1", "-inf", "2", "0"],
@@ -158,10 +166,12 @@ CALLS = [
     *_json(["hurwitz", "--distances", "1,2"]),
     *_json(["hurwitz", "--distances", "a,b,c"]),
     (["hurwitz", "--distances", "1,2,3", "--branch", "0,1,2,3"], None),
+    *_json(["hurwitz", "--branch="]),
 
     *_both(["strata", "--type", "III"]),
     *_both(["strata", "--type", "IX"]),
     *_json(["strata", "--type", "XI"]),
+    *_json(["strata", "--type=" + "Z" * 5000]),
 ]
 
 

@@ -80,6 +80,14 @@ class TestClassifyStratum:
         with pytest.raises(ValueError):
             CompactifiedPoint(registry_sequence("IX"), (1, 1, 1))
 
+    @pytest.mark.parametrize("label, k", [("VI", 3), ("IX", 2)])
+    def test_lower_type_code_comes_from_the_constructor(self, label, k):
+        for make in (lambda s: CompactifiedPoint(s, (1, 1, 1)), face_lattice):
+            with pytest.raises(ValueError) as info:
+                make(registry_sequence(label))
+            assert info.value.code == "not-a-maximal-type"
+            assert str(info.value).endswith("got k=%d" % k)
+
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError):
             cp("I", (-1, 1, 1))

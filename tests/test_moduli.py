@@ -39,11 +39,25 @@ class TestModuliCoordinates:
             moduli_point(TropicalMap((0, 1), (3, 4, 3), 0))
 
     def test_inadmissible_message_is_bounded(self):
-        # 20 zero-jump breaks: the joined reasons run to 878 characters
+        # end slopes of 4,000 digits: the joined reasons run to 245 characters
+        n = int("9" * 4000)
         with pytest.raises(ValueError) as info:
-            moduli_point(TropicalMap(tuple(range(20)), (3,) * 21, 0))
+            moduli_point(TropicalMap((0, 1), (n, 3, n), 0))
         text = str(info.value)
-        assert len(text) <= 200 and text.endswith("(878 characters)")
+        assert len(text) <= 200 and text.endswith("(245 characters)")
+
+    @pytest.mark.parametrize("m, rule", [
+        (TropicalMap((), (3,), 0), "total ramification 0 != 4"),
+        (TropicalMap((), (), 0), "empty slope sequence"),
+        (TropicalMap((1, 0), (3, 5, 3), 0), "gap lengths must be positive"),
+        (TropicalMap((0, 1), (3, "7/2", 3), 0), "non-integer slope: 7/2"),
+        (TropicalMap((0,), (3, 5, 4, 3), 0), "need k-1 gap lengths"),
+    ])
+    def test_rejection_names_the_constructor_rule(self, m, rule):
+        with pytest.raises(ValueError) as info:
+            moduli_point(m)
+        assert info.value.code == "inadmissible-map"
+        assert str(info.value) == "inadmissible map: " + rule
 
     def test_representative_roundtrip(self, example_map):
         p = moduli_point(example_map)

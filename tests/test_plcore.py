@@ -92,6 +92,10 @@ class TestEvaluate:
         assert evaluate(TropicalMap(m.break_points, m.slopes, m.anchor_value), x) == value
         assert evaluate(apply_source_automorphism(m, 1, c), x) == net.evaluate(x + c)
         assert evaluate(apply_source_automorphism(m, -1, c), x) == net.evaluate(c - x)
+        if m.break_points:  # at the last break and past it, where the bisection ends
+            last = m.break_points[-1]
+            for y in (last, last + abs(c)):
+                assert evaluate(m, y) == net.evaluate(y)
 
 
 class TestBreakValueCache:
@@ -149,6 +153,11 @@ class TestValidate:
     def test_non_integer_slope(self):
         r = validate(TropicalMap((0,), (3, Fraction(7, 2)), 0))
         assert not r.ok and any("non-integer" in p for p in r.problems)
+
+    def test_slope_past_the_digit_limit_is_reported(self):
+        n = int("9" * 4000)
+        r = validate(TropicalMap((0,), (0, Fraction(n * n, 7)), 0))
+        assert r.problems == ("non-integer slope: a number of 8000 digits",)
 
     def test_bool_slope(self):
         with pytest.raises(ValueError, match="booleans"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tropmaps.errors import DomainError
-from tropmaps.rational import format_rational, parse_rational
+from tropmaps.rational import _bounded_echo, format_rational, parse_rational
 
 
 def via_fraction(x):
@@ -44,3 +44,17 @@ class TestParseRational:
     def test_short_values_are_echoed_whole(self):
         with pytest.raises(ValueError, match=r"not a rational: '1\.5'$"):
             parse_rational("1.5")
+
+
+class TestBoundedEcho:
+    @pytest.mark.parametrize("x, text", [(Fraction(7, 2), "7/2"), (-4, "-4"), (True, "True"),
+                                         (4.5, "4.5"), ("x", "'x'")])
+    def test_numbers_in_the_interchange_form(self, x, text):
+        assert _bounded_echo(x) == text
+
+    @pytest.mark.parametrize("digits", [4301, 8000])
+    def test_past_the_digit_limit_names_the_size(self, digits):
+        top = 10 ** digits - 1
+        for x in (top, -top, 10 ** (digits - 1), Fraction(1, top), Fraction(top, 7)):
+            for form in (None, repr, format_rational):
+                assert _bounded_echo(x, form) == "a number of %d digits" % digits

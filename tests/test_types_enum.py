@@ -176,6 +176,10 @@ class TestSlopeSequence:
         with pytest.raises(ValueError, match="non-integer slope"):
             SlopeSequence(3, slopes)
 
+    def test_non_integer_slope_is_echoed_as_a_rational(self):
+        with pytest.raises(ValueError, match="^non-integer slope: 7/2$"):
+            SlopeSequence(3, (3, Fraction(7, 2), 3))
+
     def test_integral_values_become_ints(self):
         seq = SlopeSequence(3, (3, Fraction(4), 5, 4, 3))
         assert seq.slopes == (3, 4, 5, 4, 3)
