@@ -2,15 +2,16 @@
 
 Every subcommand is one row of COMMANDS and runs load -> decode -> op ->
 encode.  Exit codes: 0 success, 1 domain error, 2 malformed input, 3 a
-fault of the program itself.  An error prints {"error": code, "detail":
-text}: domain errors on stdout, the others on stderr.  The README lists
-every code.
+fault of the program itself, 141 a closed stdout.  An error prints
+{"error": code, "detail": text}: domain errors on stdout, the others on
+stderr.  The README lists every code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -261,6 +262,7 @@ def _runner(decode, op, encode, human):
                 print(json.dumps(payload))
             else:
                 human(payload)
+            sys.stdout.flush()   # a closed stdout shows here, not in the exit's own flush
         except ValueError:   # an int past the interpreter's int-string digit limit
             raise _too_large() from None
     return run
@@ -288,19 +290,23 @@ def build_parser():
 
 def _report(exc):
     stream = sys.stderr if isinstance(exc, InputError) else sys.stdout
-    print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream)
+    print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream, flush=True)
     return exc.exit_code
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-        return 0
-    except TropmapsError as exc:
-        return _report(exc)
-    except ValueError as exc:   # an uncoded rejection raised by a module
-        return _report(DomainError(str(exc)))
+        try:
+            args.func(args)
+            return 0
+        except TropmapsError as exc:
+            return _report(exc)
+        except ValueError as exc:   # an uncoded rejection raised by a module
+            return _report(DomainError(str(exc)))
+    except BrokenPipeError:   # the reader left early: exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception as exc:    # a fault of the program, not of its input
         detail = _bounded_echo("%s: %s" % (type(exc).__name__, exc), str, 160)
         print(json.dumps({"error": "internal-error", "detail": detail}), file=sys.stderr)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, InputError
-from .plcore import TropicalMap, _anchor_point, ramification
+from .plcore import TropicalMap, _anchor_point
 from .rational import parse_rational
 from .types_enum import SlopeSequence, _is_palindrome
 
@@ -41,10 +42,7 @@ class ModuliPoint:
             raise ValueError("gap lengths must be positive")
 
     def break_points(self):
-        xs = [self.position]
-        for g in self.gaps:
-            xs.append(xs[-1] + g)
-        return tuple(xs)
+        return tuple(accumulate(self.gaps, initial=self.position))
 
 
 @dataclass(frozen=True)
@@ -91,16 +89,14 @@ def automorphisms(p: ModuliPoint) -> AutGroup:
     """Z/2 exactly when both the slope sequence and the gap vector are palindromic.
 
     The reflection fixes the midpoint c of the outer break points and
-    satisfies phi(2c - x) = -phi(x) + b, where b is the sum of the values
-    at the outer break points.
+    satisfies phi(2c - x) = -phi(x) + b, b = sum s_i*l_i over interior slopes
+    and gaps; for four breaks b = d1+d2+d3 (README point: 4 + 10 + 4 = 18).
     """
     if not (_is_palindrome(p.seq.slopes) and _is_palindrome(p.gaps)):
         return AutGroup(TRIVIAL)
-    m = representative_map(p)
-    xs = m.break_points
-    center = (xs[0] + xs[-1]) / 2
-    vals = m.break_point_values
-    return AutGroup(Z2, center, vals[0] + vals[-1])
+    xs = p.break_points()
+    shift = sum(s * l for s, l in zip(p.seq.slopes[1:-1], p.gaps))
+    return AutGroup(Z2, (xs[0] + xs[-1]) / 2, shift)
 
 
 def stratum(p: ModuliPoint) -> StratumDescriptor:
@@ -131,9 +127,7 @@ def degenerate(p: ModuliPoint, i: int) -> ModuliPoint:
 
 
 def weighted_curve(p: ModuliPoint) -> WeightedTropicalCurve:
-    m = representative_map(p)
-    weights = ramification(m).weights
-    vertices = tuple(zip(m.break_points, weights))
+    vertices = tuple(zip(p.break_points(), map(abs, p.seq.jumps)))
     edges = tuple(zip(p.gaps, p.seq.slopes[1:-1]))
     return WeightedTropicalCurve(vertices, edges,
                                  (p.seq.slopes[0], p.seq.slopes[-1]))

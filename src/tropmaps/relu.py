@@ -100,8 +100,7 @@ def network_to_map(net: ReLUNetwork) -> NetworkConversion:
 def map_to_network(m: TropicalMap) -> ReLUNetwork:
     """Canonical network of a map: all hidden weights +1, one unit per break."""
     slope, intercept, kinks = _kinks(m)
-    units = tuple((Fraction(1), -x, Fraction(jump)) for x, jump in kinks)
-    return ReLUNetwork(Fraction(slope), intercept, units)
+    return ReLUNetwork(slope, intercept, tuple((1, -x, jump) for x, jump in kinks))
 
 
 def symmetry_report(net: ReLUNetwork) -> SymmetryReport:

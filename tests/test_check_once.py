@@ -128,3 +128,44 @@ def test_symmetry_checks_the_converted_map_once(capsys, monkeypatch, checks):
     assert json.loads(capsys.readouterr().out)["type"] == "III"
     # network_to_map's admissibility report, then moduli_point's SlopeSequence
     assert (checks["validate"], checks["reasons"]) == (1, 2)
+
+
+@pytest.fixture
+def maps(monkeypatch):
+    """The break points of every TropicalMap built while the test runs."""
+    built = []
+    check = plcore.TropicalMap.__post_init__
+
+    def counted(self):
+        built.append(self.break_points)
+        check(self)
+    monkeypatch.setattr(plcore.TropicalMap, "__post_init__", counted)
+    return built
+
+
+README_POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"], "position": "0"}
+
+
+@pytest.mark.parametrize("command, shown", [("aut", '"kind": "z2"'),
+                                            ("stratum", '"aut": "z2"'),
+                                            ("curve", '"vertices"')])
+def test_point_commands_build_no_map(capsys, monkeypatch, maps, command, shown):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_POINT)))
+    assert cli.main([command, "-", "--json"]) == 0
+    assert shown in capsys.readouterr().out
+    assert maps == []
+
+
+# The canonical network of the README map: type I, gaps (1, 2, 1).
+TYPE_I_NET = {"base_slope": "3", "base_bias": "0",
+              "units": [{"w": "1", "b": str(-x), "a": str(a)}
+                        for x, a in ((0, 1), (1, 1), (3, -1), (4, -1))]}
+
+
+def test_symmetry_builds_only_the_converted_map(capsys, monkeypatch, maps):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_I_NET)))
+    assert cli.main(["symmetry", "-", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["aut"] == "z2"
+    assert payload["gap_condition"] == {"l1": "1", "l3": "1", "equal": True}
+    assert len(maps) == 1

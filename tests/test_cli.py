@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +315,30 @@ class TestErrorCodes:
             code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-", "--json"), EXAMPLE_POINT)
             assert (code, out) == (3, "") and "Traceback" not in err
             assert json.loads(err) == {"error": "internal-error", "detail": detail}
+
+    @staticmethod
+    def cli_process(argv, stdout):
+        """`python -m tropmaps.cli argv` on this checkout's package."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.Popen([sys.executable, "-m", "tropmaps.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=path))
+
+    def test_closed_stdout_exits_as_sigpipe(self):
+        """A reader that stops after 10 bytes: nothing on stderr, and exit 141
+        (128 + SIGPIPE), what a shell reports for `cat` cut off the same way."""
+        with self.cli_process(["types", "--degree", "6"], subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait()) == (b"", 141)
+
+    def test_error_report_to_a_closed_stdout(self):
+        read, write = os.pipe()
+        os.close(read)
+        with self.cli_process(["hurwitz", "--distances", "1,0,1"], write) as proc:
+            os.close(write)
+            assert (proc.stderr.read(), proc.wait()) == (b"", 141)
 
     def test_inadmissible_map_has_no_subcommand(self):
         with pytest.raises(cli.DomainError) as info:

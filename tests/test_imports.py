@@ -1,15 +1,19 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name is read somewhere in the package.
 
-`__init__.py` is left out: its imports are the package's re-exports.
+`__init__.py` is left out of the import check: its imports are the
+package's re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tropmaps"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -40,3 +44,61 @@ def test_detects_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _reads(tree):
+    """Every name a tree reads: loaded names, attribute names and the names
+    a from-import takes from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unread_private_names(sources):
+    """(module, line, name) for each private function, class or assignment at
+    the top level of a module in `sources` ({module: source}) that no other
+    statement of any module reads."""
+    statements = [(module, stmt) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    own = [Counter(_reads(stmt)) for _, stmt in statements]
+    total = sum(own, Counter())
+    unread = []
+    for (module, stmt), reads in zip(statements, own):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names = [n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        unread += [(module, stmt.lineno, name) for name in names
+                   if _is_private(name) and total[name] == reads[name]]
+    return sorted(unread)
+
+
+def test_detects_unread_private_names():
+    sources = {
+        "a": ("_read = 1\n"
+              "_unread, public = 2, 3\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1)\n"
+              "class _Attr:\n"
+              "    _own = _read\n"
+              "__dunder__ = 4\n"),
+        "b": ("from .a import _read\n"
+              "import a\n"
+              "x = a._Attr\n"),
+    }
+    assert unread_private_names(sources) == [("a", 2, "_unread"), ("a", 3, "_recursive")]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tropmaps import (InvalidDegeneration, ModuliPoint, SlopeSequence,
-                      TropicalMap, automorphisms, canonical_type,
+                      TropicalMap, automorphisms, branch_configuration, canonical_type,
                       curve_automorphisms, degenerate, evaluate, maps_equal,
                       moduli_point, ramification, registry_d3,
                       registry_sequence, representative_map, stratum,
@@ -14,6 +14,19 @@ from conftest import random_fraction
 
 PALINDROMIC_LABELS = [t.label for t in registry_d3() if t.palindromic]
 GAPS = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
+POSITIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def points(draw):
+    """A random point of any of the ten types; palindromic gaps for half of
+    the palindromic sequences, so both automorphism kinds are drawn."""
+    seq = draw(st.sampled_from(registry_d3())).representative
+    n = seq.k - 1
+    gaps = draw(st.lists(GAPS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        gaps[n - n // 2:] = gaps[:n // 2][::-1]
+    return ModuliPoint(seq, gaps, draw(POSITIONS))
 
 
 def point(label, gaps, position=0):
@@ -134,6 +147,21 @@ class TestAutomorphisms:
             assert (evaluate(m, 2 * g.reflection_center - x)
                     == -evaluate(m, x) + g.target_shift)
 
+    @settings(max_examples=60)
+    @given(p=points())
+    def test_against_the_representative_map(self, p):
+        """Center and shift equal the midpoint of the outer breaks and the sum
+        of the values there, read from the anchor-0 map; for four breaks the
+        shift is d1 + d2 + d3 of the branch configuration."""
+        g, m = automorphisms(p), representative_map(p)
+        if g.kind == "trivial":
+            return
+        xs, values = m.break_points, m.break_point_values
+        assert g.reflection_center == (xs[0] + xs[-1]) / 2
+        assert g.target_shift == values[0] + values[-1]
+        if p.seq.k == 4:
+            assert g.target_shift == sum(branch_configuration(p).distances)
+
     def test_only_two_kinds_exist(self):
         rng = random.Random(5)
         for t in registry_d3():
@@ -242,6 +270,17 @@ class TestWeightedCurve:
                 p = ModuliPoint(seq, gaps, 0)
                 expect = automorphisms(p).kind
                 assert curve_automorphisms(weighted_curve(p)) == expect
+
+    @settings(max_examples=60)
+    @given(p=points())
+    def test_against_the_representative_map(self, p):
+        """The curve read from the coordinates is the one built from the
+        anchor-0 map: its breaks with their ramification weights."""
+        m = representative_map(p)
+        c = weighted_curve(p)
+        assert c.finite_vertices == tuple(zip(m.break_points, ramification(m).weights))
+        assert c.bounded_edges == tuple(zip(p.gaps, m.slopes[1:-1]))
+        assert c.leaf_dilations == (m.slopes[0], m.slopes[-1])
 
     def test_single_edge_curves_symmetric(self):
         for label in ("IX", "X"):
