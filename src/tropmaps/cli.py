@@ -268,8 +268,13 @@ def _runner(decode, op, encode, human):
     return run
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's passes over a closed stdout in silence
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropmaps",
         description="Degree-3 tropical rational maps: types, moduli, "
                     "Hurwitz fibers, compactification, ReLU bridge.")
@@ -295,8 +300,8 @@ def _report(exc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         try:
             args.func(args)
             return 0

@@ -10,12 +10,12 @@ labels with no map realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .errors import DomainError
 from .plcore import _merge_kinks
 from .rational import POS_INF, is_infinite, parse_extended
+from .record import Record
 from .types_enum import _D3_LABELS, SlopeSequence
 
 ZERO = "zero"
@@ -26,8 +26,7 @@ VALID_MERGE = "valid-merge"
 REDUCED_VARIATION = "reduced-variation"
 
 
-@dataclass(frozen=True)
-class CompactifiedPoint:
+class CompactifiedPoint(Record):
     seq: SlopeSequence
     extended_gaps: tuple  # each 0, a positive rational, or inf
 
@@ -44,8 +43,7 @@ class CompactifiedPoint:
             raise ValueError("gap coordinates must lie in [0, inf]")
 
 
-@dataclass(frozen=True)
-class BoundaryStratum:
+class BoundaryStratum(Record):
     coordinate_states: tuple  # over {ZERO, OPEN, INFINITE}
     codimension: int
     collisions: tuple         # (gap index 1..3, VALID_MERGE | REDUCED_VARIATION)

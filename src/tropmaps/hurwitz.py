@@ -10,12 +10,12 @@ the weighted degree nine is not an independent check of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .moduli import ModuliPoint
 from .rational import parse_rational
+from .record import Record
 from .types_enum import _D3_LABELS, SlopeSequence, _reversal_min
 
 TYPE_MULTIPLICITY = {"I": 2, "II": 1, "III": 2, "IV": 2, "V": 2}
@@ -33,15 +33,13 @@ class NonGenericConfiguration(DomainError):
     code = "non-generic-configuration"
 
 
-@dataclass(frozen=True)
-class QuotientedModuliPoint:
+class QuotientedModuliPoint(Record):
     canonical_seq: SlopeSequence
     gaps: tuple
     reversed_orientation: bool
 
 
-@dataclass(frozen=True)
-class BranchConfiguration:
+class BranchConfiguration(Record):
     """Three consecutive distances between the four ordered branch points."""
     distances: tuple
 
@@ -62,8 +60,7 @@ class BranchConfiguration:
         return cls(tuple(b - a for a, b in zip(pts, pts[1:])))
 
 
-@dataclass(frozen=True)
-class HurwitzFiberElement:
+class HurwitzFiberElement(Record):
     seq: SlopeSequence
     gaps: tuple
     multiplicity: int

@@ -8,13 +8,13 @@ by target translations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, InputError
 from .plcore import TropicalMap, _anchor_point
 from .rational import parse_rational
+from .record import Record
 from .types_enum import SlopeSequence, _is_palindrome
 
 TRIVIAL = "trivial"
@@ -26,8 +26,7 @@ class InvalidDegeneration(DomainError):
     code = "invalid-degeneration"
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Record):
     seq: SlopeSequence
     gaps: tuple
     position: Fraction
@@ -45,23 +44,20 @@ class ModuliPoint:
         return tuple(accumulate(self.gaps, initial=self.position))
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(Record):
     kind: str  # TRIVIAL or Z2
     reflection_center: Fraction | None = None
     target_shift: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class StratumDescriptor:
+class StratumDescriptor(Record):
     aut: str
     cell_dimension: int
     symmetric_locus: bool
     label: str  # generic | symmetric | symmetric-boundary | intermediate
 
 
-@dataclass(frozen=True)
-class WeightedTropicalCurve:
+class WeightedTropicalCurve(Record):
     """Metric path graph underlying a map: break-point vertices with
     ramification weights, bounded edges with (length, dilation), and two
     infinite leaves carrying the end dilations."""

@@ -12,13 +12,13 @@ so each later evaluation is a bisection plus one multiply and one add.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, sub
 
 from .errors import InputError
 from .rational import POS_INF, _bounded_echo, is_infinite, parse_rational
+from .record import Record
 from .types_enum import _admissibility_reasons
 
 
@@ -34,8 +34,7 @@ def _anchor_point(breaks):
     return breaks[0] if breaks else 0
 
 
-@dataclass(frozen=True)
-class TropicalMap:
+class TropicalMap(Record):
     break_points: tuple
     slopes: tuple
     anchor_value: Fraction
@@ -62,8 +61,7 @@ class TropicalMap:
         return tuple(break_values(self))
 
 
-@dataclass(frozen=True)
-class TropicalPolynomial:
+class TropicalPolynomial(Record):
     """Coefficients indexed by exponent; -inf marks an absent monomial."""
     coefficients: tuple
 
@@ -77,14 +75,12 @@ class TropicalPolynomial:
             raise ValueError("top coefficient must be finite")
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(Record):
     weights: tuple
     total: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     problems: tuple
 
@@ -92,8 +88,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     admissible: bool
     reasons: tuple
 

@@ -9,18 +9,17 @@ without tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
 from . import moduli
 from .plcore import TropicalMap, _anchor_point, _kinks, _merge_kinks, is_admissible
 from .rational import parse_rational
+from .record import Record
 from .types_enum import _D3_LABELS, _is_palindrome
 
 
-@dataclass(frozen=True)
-class ReLUNetwork:
+class ReLUNetwork(Record):
     base_slope: Fraction
     base_bias: Fraction
     units: tuple  # (weight, bias, out_coeff)
@@ -40,21 +39,18 @@ class ReLUNetwork:
         return y
 
 
-@dataclass(frozen=True)
-class NetworkConversion:
+class NetworkConversion(Record):
     map: TropicalMap
     admissible: bool
     problems: tuple
 
 
-@dataclass(frozen=True)
-class DeadUnit:
+class DeadUnit(Record):
     index: int
     reason: str  # zero-coefficient | zero-weight | cancelled-threshold
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Record):
     dead_units: tuple
     admissible: bool
     problems: tuple

@@ -8,9 +8,8 @@ exactly ten, labeled I-X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rational import _bounded_echo
+from .record import Record
 
 
 def _admissibility_reasons(degree, slopes):
@@ -34,8 +33,7 @@ def _admissibility_reasons(degree, slopes):
     return reasons
 
 
-@dataclass(frozen=True)
-class SlopeSequence:
+class SlopeSequence(Record):
     degree: int
     slopes: tuple
 
@@ -67,8 +65,7 @@ class SlopeSequence:
         return SlopeSequence(self.degree, tuple(reversed(self.slopes)))
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
+class CombinatorialType(Record):
     canonical: SlopeSequence
     palindromic: bool
     label: str | None

@@ -317,13 +317,14 @@ class TestErrorCodes:
             assert json.loads(err) == {"error": "internal-error", "detail": detail}
 
     @staticmethod
-    def cli_process(argv, stdout):
-        """`python -m tropmaps.cli argv` on this checkout's package."""
+    def cli_process(argv, stdout, **env):
+        """`python -m tropmaps.cli argv` on this checkout's package, with
+        `env` added to the environment."""
         src = str(Path(cli.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.Popen([sys.executable, "-m", "tropmaps.cli", *argv],
                                 stdout=stdout, stderr=subprocess.PIPE,
-                                env=dict(os.environ, PYTHONPATH=path))
+                                env=dict(os.environ, PYTHONPATH=path, **env))
 
     def test_closed_stdout_exits_as_sigpipe(self):
         """A reader that stops after 10 bytes: nothing on stderr, and exit 141
@@ -339,6 +340,22 @@ class TestErrorCodes:
         with self.cli_process(["hurwitz", "--distances", "1,0,1"], write) as proc:
             os.close(write)
             assert (proc.stderr.read(), proc.wait()) == (b"", 141)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--help"], 141, b""),
+        (["types", "--help"], 141, b""),
+        (["types"], 2, b"tropmaps types: error: the following arguments are required: --degree\n"),
+    ])
+    def test_argparse_output_to_a_closed_stdout(self, argv, code, err, unbuffered):
+        """argparse passes over a failed write of its help in silence; the
+        CLI exits 141 whether the write fails at once or at the flush.  A
+        usage error still goes to stderr with exit 2."""
+        read, write = os.pipe()
+        os.close(read)
+        with self.cli_process(argv, write, PYTHONUNBUFFERED=unbuffered) as proc:
+            os.close(write)
+            assert (proc.stderr.read().endswith(err), proc.wait()) == (True, code)
 
     def test_inadmissible_map_has_no_subcommand(self):
         with pytest.raises(cli.DomainError) as info:

@@ -1,11 +1,16 @@
 """Every name a module of the package imports is used in that module, and
-every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package.  A CLI
+call imports neither `dataclasses` nor the `inspect` it pulls in.
 
 `__init__.py` is left out of the import check: its imports are the
 package's re-exports.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -102,3 +107,15 @@ def test_detects_unread_private_names():
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_a_cli_call_imports_no_dataclasses():
+    code = ("import sys\n"
+            "from tropmaps import cli\n"
+            "cli.main(['eval', '-', '--at', '1/2', '--json'])\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    readme_map = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(readme_map),
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (run.returncode, run.stdout.splitlines()) == (0, ['{"value": "2"}', "[]"])

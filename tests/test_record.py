@@ -1,0 +1,101 @@
+"""The value types are frozen records: field-wise ==, hash and repr, and no
+assignment.  Every Record subclass in the package is checked."""
+
+import importlib
+import pkgutil
+from fractions import Fraction
+
+import pytest
+
+import tropmaps
+from tropmaps import AutGroup, TropicalMap, evaluate
+from tropmaps.plcore import AdmissibilityReport, ValidationReport
+from tropmaps.record import Record
+
+MODULES = [importlib.import_module("tropmaps." + m.name)
+           for m in pkgutil.iter_modules(tropmaps.__path__)]
+RECORDS = sorted({cls for mod in MODULES for cls in vars(mod).values()
+                  if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record},
+                 key=lambda cls: cls.__qualname__)
+
+
+def filled(cls):
+    """An instance whose fields hold distinct values, built without running
+    the class's own checks."""
+    record = object.__new__(cls)
+    for i, name in enumerate(cls._fields):
+        object.__setattr__(record, name, (i, Fraction(1, i + 2)))
+    return record
+
+
+def test_every_value_type_is_collected():
+    assert TropicalMap in RECORDS and len(RECORDS) >= 20
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+class TestEveryRecord:
+    def test_hash_is_the_hash_of_the_field_tuple(self, cls):
+        x = filled(cls)
+        assert hash(x) == hash(tuple(getattr(x, f) for f in cls._fields))
+
+    def test_repr_names_each_field(self, cls):
+        x = filled(cls)
+        assert repr(x) == "%s(%s)" % (cls.__qualname__, ", ".join(
+            "%s=(%d, Fraction(1, %d))" % (f, i, i + 2) for i, f in enumerate(cls._fields)))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        x = filled(cls)
+        for name in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert getattr(x, cls._fields[0]) == (0, Fraction(1, 2))
+
+    def test_a_wrong_argument_count_is_a_type_error(self, cls):
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*range(len(cls._fields) + 1))
+
+
+def test_equality_needs_the_same_class():
+    assert ValidationReport(True, ()) != AdmissibilityReport(True, ())
+    assert ValidationReport(True, ()).__eq__(AdmissibilityReport(True, ())) is NotImplemented
+    assert ValidationReport(True, ()) == ValidationReport(True, ())
+    assert ValidationReport(True, ()) != ValidationReport(True, ("x",))
+
+
+def test_repr_format():
+    assert (repr(AutGroup("z2", Fraction(1, 2), 3))
+            == "AutGroup(kind='z2', reflection_center=Fraction(1, 2), target_shift=3)")
+
+
+def test_trailing_fields_with_class_values_are_optional():
+    assert AutGroup("trivial") == AutGroup("trivial", None, None)
+    assert AutGroup("z2", 1) == AutGroup("z2", 1, None)
+
+
+def test_keyword_construction_equals_positional():
+    m = TropicalMap((0, 1), (3, 4, 3), 0)
+    assert TropicalMap(break_points=(0, 1), slopes=(3, 4, 3), anchor_value=0) == m
+    assert TropicalMap((0, 1), anchor_value=0, slopes=(3, 4, 3)) == m
+    assert AutGroup("z2", target_shift=3) == AutGroup("z2", None, 3)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (((0,), (3, 3)), {}),                        # a field missing
+    (((), (3,), 0, 1), {}),                      # one argument too many
+    (((), (3,)), {"anchor": 0}),                 # a name that is no field
+    (((), (3,), 0), {"slopes": (3,)}),           # a field given twice
+])
+def test_a_wrong_call_is_a_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        TropicalMap(*args, **kwargs)
+
+
+def test_an_evaluated_map_is_the_same_key():
+    m = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)
+    evaluate(m, 2)
+    fresh = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)
+    assert {m: "m"}[fresh] == "m" and fresh in {m} and hash(fresh) == hash(m)
