@@ -30,17 +30,16 @@ class CompactifiedPoint(Record):
     seq: SlopeSequence
     extended_gaps: tuple  # each 0, a positive rational, or inf
 
-    def __post_init__(self):
-        if self.seq.k != 4:
+    def __init__(self, seq, extended_gaps):
+        if seq.k != 4:
             raise DomainError("compactified cells exist for four-break types only, "
-                              "got k=%d" % self.seq.k, code="not-a-maximal-type")
-        gaps = tuple(g if is_infinite(g) else parse_extended(g)
-                     for g in self.extended_gaps)
-        object.__setattr__(self, "extended_gaps", gaps)
+                              "got k=%d" % seq.k, code="not-a-maximal-type")
+        gaps = tuple(g if is_infinite(g) else parse_extended(g) for g in extended_gaps)
         if len(gaps) != 3:
             raise ValueError("need exactly three extended gap coordinates")
         if any(g < 0 for g in gaps):
             raise ValueError("gap coordinates must lie in [0, inf]")
+        super().__init__(seq, gaps)
 
 
 class BoundaryStratum(Record):

@@ -43,13 +43,13 @@ class BranchConfiguration(Record):
     """Three consecutive distances between the four ordered branch points."""
     distances: tuple
 
-    def __post_init__(self):
-        ds = tuple(parse_rational(d) for d in self.distances)
-        object.__setattr__(self, "distances", ds)
+    def __init__(self, distances):
+        ds = tuple(parse_rational(d) for d in distances)
         if len(ds) != 3:
             raise ValueError("need exactly three distances")
         if any(d <= 0 for d in ds):
             raise NonGenericConfiguration("branch points must be distinct")
+        super().__init__(ds)
 
     @classmethod
     def from_branch_points(cls, points):

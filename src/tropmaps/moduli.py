@@ -31,14 +31,14 @@ class ModuliPoint(Record):
     gaps: tuple
     position: Fraction
 
-    def __post_init__(self):
-        gaps = tuple(parse_rational(g) for g in self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "position", parse_rational(self.position))
-        if len(gaps) != self.seq.k - 1:
+    def __init__(self, seq, gaps, position):
+        gaps = tuple(parse_rational(g) for g in gaps)
+        position = parse_rational(position)
+        if len(gaps) != seq.k - 1:
             raise ValueError("need k-1 gap lengths")
         if any(g <= 0 for g in gaps):
             raise ValueError("gap lengths must be positive")
+        super().__init__(seq, gaps, position)
 
     def break_points(self):
         return tuple(accumulate(self.gaps, initial=self.position))

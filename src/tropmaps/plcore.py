@@ -39,12 +39,10 @@ class TropicalMap(Record):
     slopes: tuple
     anchor_value: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "break_points",
-                           tuple(parse_rational(x) for x in self.break_points))
-        object.__setattr__(self, "slopes",
-                           tuple(_parse_slope(s) for s in self.slopes))
-        object.__setattr__(self, "anchor_value", parse_rational(self.anchor_value))
+    def __init__(self, break_points, slopes, anchor_value):
+        super().__init__(tuple(parse_rational(x) for x in break_points),
+                         tuple(_parse_slope(s) for s in slopes),
+                         parse_rational(anchor_value))
 
     @property
     def k(self):
@@ -65,14 +63,13 @@ class TropicalPolynomial(Record):
     """Coefficients indexed by exponent; -inf marks an absent monomial."""
     coefficients: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(c if is_infinite(c) else parse_rational(c)
-                       for c in self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(c if is_infinite(c) else parse_rational(c) for c in coefficients)
         if POS_INF in coeffs:
             raise ValueError("coefficients may be rational or -inf")
-        object.__setattr__(self, "coefficients", coeffs)
         if not coeffs or is_infinite(coeffs[-1]):
             raise ValueError("top coefficient must be finite")
+        super().__init__(coeffs)
 
 
 class RamificationProfile(Record):
@@ -163,7 +160,7 @@ def is_admissible(m: TropicalMap, degree: int) -> AdmissibilityReport:
 
 def apply_target_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     """Post-compose with y -> sign*y + shift."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     shift = parse_rational(shift)
     return TropicalMap(m.break_points,
@@ -173,7 +170,7 @@ def apply_target_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
 
 def apply_source_automorphism(m: TropicalMap, sign: int, shift) -> TropicalMap:
     """Pre-compose with x -> sign*x + shift, i.e. return x -> phi(sign*x + shift)."""
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     shift = parse_rational(shift)
     # A break x moves to sign*(x - shift) and a slope s becomes sign*s; the
@@ -248,15 +245,18 @@ def _merge_kinks(slope, kinks):
     return breaks, slopes
 
 
+def _from_kinks(slope, intercept, kinks):
+    """The inverse of _kinks: the map slope*x + intercept plus the kinks
+    (t, jump) in any order, sorted by t and merged by _merge_kinks."""
+    breaks, slopes = _merge_kinks(slope, sorted(kinks, key=itemgetter(0)))
+    return TropicalMap(breaks, slopes, slope * _anchor_point(breaks) + intercept)
+
+
 def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:
-    """The function a - b in map form: the kinks of a and of -b, sorted
-    together and merged."""
+    """The function a - b in map form, rebuilt from the kinks of a and of -b."""
     sa, ca, kinks = _kinks(a)
     sb, cb, kb = _kinks(b)
-    kinks += [(x, -j) for x, j in kb]
-    kinks.sort(key=itemgetter(0))
-    breaks, slopes = _merge_kinks(sa - sb, kinks)
-    return TropicalMap(breaks, slopes, (sa - sb) * _anchor_point(breaks) + ca - cb)
+    return _from_kinks(sa - sb, ca - cb, kinks + [(x, -j) for x, j in kb])
 
 
 def tropicalize_rational(p: TropicalPolynomial, q: TropicalPolynomial) -> TropicalMap:

@@ -1,6 +1,7 @@
 """Frozen value records, the base of the package's value types.  The fields
 are the class annotations, in order; a trailing one with a class-level value
-is optional.  `==`, `hash`, `repr` go by field; no attribute can be set or deleted."""
+is optional.  `==`, `hash`, `repr` go by field; no attribute can be set or deleted.
+A parsing type defines `__init__` and passes the parsed values to `Record.__init__` once."""
 
 from operator import attrgetter
 
@@ -21,7 +22,6 @@ class Record:
         for name in fields:   # indexing args costs less per field than unpacking a zip
             _set(self, name, args[i])
             i += 1
-        self.__post_init__()
 
     @classmethod
     def _bind(cls, args, kwargs):
@@ -34,9 +34,6 @@ class Record:
         if kwargs or values is None or len(values) != len(cls._fields):
             raise TypeError("%s() takes (%s)" % (cls.__name__, ", ".join(cls._fields)))
         return values
-
-    def __post_init__(self):
-        pass
 
     def __eq__(self, other):
         return (self._values(self) == self._values(other)

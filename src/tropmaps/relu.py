@@ -10,10 +10,9 @@ without tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
 
 from . import moduli
-from .plcore import TropicalMap, _anchor_point, _kinks, _merge_kinks, is_admissible
+from .plcore import TropicalMap, _from_kinks, _kinks, is_admissible
 from .rational import parse_rational
 from .record import Record
 from .types_enum import _D3_LABELS, _is_palindrome
@@ -24,12 +23,10 @@ class ReLUNetwork(Record):
     base_bias: Fraction
     units: tuple  # (weight, bias, out_coeff)
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_slope", parse_rational(self.base_slope))
-        object.__setattr__(self, "base_bias", parse_rational(self.base_bias))
-        units = tuple((parse_rational(w), parse_rational(b), parse_rational(a))
-                      for w, b, a in self.units)
-        object.__setattr__(self, "units", units)
+    def __init__(self, base_slope, base_bias, units):
+        super().__init__(parse_rational(base_slope), parse_rational(base_bias),
+                         tuple((parse_rational(w), parse_rational(b), parse_rational(a))
+                               for w, b, a in units))
 
     def evaluate(self, x):
         x = parse_rational(x)
@@ -85,10 +82,7 @@ def _folded_terms(net: ReLUNetwork):
 def network_to_map(net: ReLUNetwork) -> NetworkConversion:
     """Exact conversion: a sort of the folded kinks by threshold, then one
     merge of equal thresholds that drops the ones whose jumps cancel."""
-    slope, bias, terms = _folded_terms(net)
-    terms.sort(key=itemgetter(0))
-    breaks, slopes = _merge_kinks(slope, terms)
-    m = TropicalMap(breaks, slopes, slope * _anchor_point(breaks) + bias)
+    m = _from_kinks(*_folded_terms(net))
     report = is_admissible(m, 3)
     return NetworkConversion(m, report.admissible, report.reasons)
 

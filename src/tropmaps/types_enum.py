@@ -37,15 +37,16 @@ class SlopeSequence(Record):
     degree: int
     slopes: tuple
 
-    def __post_init__(self):
-        slopes = tuple(self.slopes)
+    def __init__(self, degree, slopes):
+        slopes = tuple(slopes)
         for s in slopes:  # int(s) would truncate 4.7, read True as 1, echo "x..." in full
             if type(s) is not int and (isinstance(s, (bool, float, str)) or s != int(s)):
                 raise ValueError("non-integer slope: " + _bounded_echo(s))
-        object.__setattr__(self, "slopes", tuple(map(int, slopes)))
-        reasons = _admissibility_reasons(self.degree, self.slopes)
+        slopes = tuple(map(int, slopes))
+        reasons = _admissibility_reasons(degree, slopes)
         if reasons:  # each reason is short, but four of them need not be
             raise ValueError(_bounded_echo("; ".join(reasons), str, 160))
+        super().__init__(degree, slopes)
 
     @property
     def k(self):

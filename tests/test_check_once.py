@@ -14,12 +14,12 @@ from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz, mo
 def constructions(monkeypatch):
     """The slopes of every SlopeSequence built while the test runs."""
     built = []
-    check = types_enum.SlopeSequence.__post_init__
+    check = types_enum.SlopeSequence.__init__
 
-    def counted(self):
-        built.append(self.slopes)
-        check(self)
-    monkeypatch.setattr(types_enum.SlopeSequence, "__post_init__", counted)
+    def counted(self, degree, slopes):
+        built.append(slopes)
+        check(self, degree, slopes)
+    monkeypatch.setattr(types_enum.SlopeSequence, "__init__", counted)
     return built
 
 
@@ -134,12 +134,12 @@ def test_symmetry_checks_the_converted_map_once(capsys, monkeypatch, checks):
 def maps(monkeypatch):
     """The break points of every TropicalMap built while the test runs."""
     built = []
-    check = plcore.TropicalMap.__post_init__
+    check = plcore.TropicalMap.__init__
 
-    def counted(self):
-        built.append(self.break_points)
-        check(self)
-    monkeypatch.setattr(plcore.TropicalMap, "__post_init__", counted)
+    def counted(self, break_points, slopes, anchor_value):
+        built.append(break_points)
+        check(self, break_points, slopes, anchor_value)
+    monkeypatch.setattr(plcore.TropicalMap, "__init__", counted)
     return built
 
 

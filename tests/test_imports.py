@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, and
 every module-level private name is read somewhere in the package.  A CLI
-call imports neither `dataclasses` nor the `inspect` it pulls in.
+call imports neither `dataclasses` nor the `inspect` it pulls in.  Each value
+is built in one step: no class defines `__post_init__`, and only `record.py`
+writes fields with `object.__setattr__`.
 
 `__init__.py` is left out of the import check: its imports are the
 package's re-exports.
@@ -107,6 +109,37 @@ def test_detects_unread_private_names():
 
 def test_every_private_name_is_read():
     assert unread_private_names({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def second_writes(sources):
+    """(module, line, what) for each `__post_init__` a class in `sources`
+    ({module: source}) defines and each `object.__setattr__` outside record.py."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                found += [(module, f.lineno, "__post_init__") for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object"
+                  and module != "record.py"):
+                found.append((module, node.lineno, "object.__setattr__"))
+    return sorted(found)
+
+
+def test_detects_second_writes():
+    source = ("class P:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "def __post_init__():\n"
+              "    pass\n")
+    assert second_writes({"a.py": source, "record.py": source}) == [
+        ("a.py", 2, "__post_init__"), ("a.py", 3, "object.__setattr__"),
+        ("record.py", 2, "__post_init__")]
+
+
+def test_each_value_is_built_in_one_step():
+    assert second_writes({p.name: p.read_text() for p in SOURCES}) == []
 
 
 def test_a_cli_call_imports_no_dataclasses():

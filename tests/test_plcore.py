@@ -244,8 +244,9 @@ class TestAutomorphismActions:
 
     @pytest.mark.parametrize("act", [apply_target_automorphism, apply_source_automorphism])
     def test_sign_zero_rejected(self, example_map, act):
-        with pytest.raises(ValueError, match="sign must be"):
-            act(example_map, 0, 1)
+        for sign in (0, 1.0, -1.0, True):
+            with pytest.raises(ValueError, match="sign must be"):
+                act(example_map, sign, 1)
 
     @given(a=st.fractions(max_denominator=20))
     def test_reflection_involution(self, a):

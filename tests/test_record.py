@@ -1,5 +1,6 @@
 """The value types are frozen records: field-wise ==, hash and repr, and no
-assignment.  Every Record subclass in the package is checked."""
+assignment.  Every Record subclass in the package is checked.  A type that
+parses its fields reports the first of its checks that fails."""
 
 import importlib
 import pkgutil
@@ -8,8 +9,13 @@ from fractions import Fraction
 import pytest
 
 import tropmaps
-from tropmaps import AutGroup, TropicalMap, evaluate
-from tropmaps.plcore import AdmissibilityReport, ValidationReport
+from tropmaps import AutGroup, TropicalMap, evaluate, registry_sequence
+from tropmaps.compact import CompactifiedPoint
+from tropmaps.errors import DomainError
+from tropmaps.hurwitz import BranchConfiguration
+from tropmaps.moduli import ModuliPoint
+from tropmaps.plcore import AdmissibilityReport, TropicalPolynomial, ValidationReport
+from tropmaps.rational import POS_INF
 from tropmaps.record import Record
 
 MODULES = [importlib.import_module("tropmaps." + m.name)
@@ -99,3 +105,22 @@ def test_an_evaluated_map_is_the_same_key():
     evaluate(m, 2)
     fresh = TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0)
     assert {m: "m"}[fresh] == "m" and fresh in {m} and hash(fresh) == hash(m)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    # the position is parsed before the gap count is checked
+    (lambda: ModuliPoint(registry_sequence("I"), (1, 1), "x"), ValueError,
+     "not a rational: 'x'"),
+    # k=4 is checked before the gaps are read
+    (lambda: CompactifiedPoint(registry_sequence("IX"), (-1,)), DomainError,
+     "compactified cells exist for four-break types only, got k=2"),
+    # +inf is checked before the top coefficient
+    (lambda: TropicalPolynomial((POS_INF, POS_INF)), ValueError,
+     "coefficients may be rational or -inf"),
+    # the distances are parsed before they are counted
+    (lambda: BranchConfiguration(("x", 0)), ValueError, "not a rational: 'x'"),
+], ids=["ModuliPoint", "CompactifiedPoint", "TropicalPolynomial", "BranchConfiguration"])
+def test_of_two_bad_arguments_the_first_check_reports(build, error, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (error, message)
