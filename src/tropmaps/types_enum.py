@@ -8,6 +8,8 @@ exactly ten, labeled I-X.
 
 from __future__ import annotations
 
+from operator import sub
+
 from .rational import _bounded_echo
 from .record import Record
 
@@ -22,11 +24,12 @@ def _admissibility_reasons(degree, slopes):
     if slopes[0] != degree or slopes[-1] != degree:
         reasons.append("end slopes (%s, %s) differ from degree %d" % (
             _bounded_echo(slopes[0]), _bounded_echo(slopes[-1]), degree))
-    if any(s < 1 for s in slopes):
+    if min(slopes) < 1:
         reasons.append("non-positive slope present")
-    if any(a == b for a, b in zip(slopes, slopes[1:])):
+    jumps = list(map(sub, slopes[1:], slopes))
+    if 0 in jumps:
         reasons.append("zero jump (repeated consecutive slope)")
-    total = sum(abs(b - a) for a, b in zip(slopes, slopes[1:]))
+    total = sum(map(abs, jumps))
     if total != 2 * degree - 2:
         reasons.append("total ramification %s != %d"
                        % (_bounded_echo(total), 2 * degree - 2))
@@ -39,10 +42,11 @@ class SlopeSequence(Record):
 
     def __init__(self, degree, slopes):
         slopes = tuple(slopes)
-        for s in slopes:  # int(s) would truncate 4.7, read True as 1, echo "x..." in full
-            if type(s) is not int and (isinstance(s, (bool, float, str)) or s != int(s)):
-                raise ValueError("non-integer slope: " + _bounded_echo(s))
-        slopes = tuple(map(int, slopes))
+        if not all(type(s) is int for s in slopes):
+            for s in slopes:  # int(s) would truncate 4.7, read True as 1, echo "x..." in full
+                if type(s) is not int and (isinstance(s, (bool, float, str)) or s != int(s)):
+                    raise ValueError("non-integer slope: " + _bounded_echo(s))
+            slopes = tuple(map(int, slopes))
         reasons = _admissibility_reasons(degree, slopes)
         if reasons:  # each reason is short, but four of them need not be
             raise ValueError(_bounded_echo("; ".join(reasons), str, 160))
@@ -138,40 +142,45 @@ def registry_sequence(label: str) -> SlopeSequence:
     return _TYPES_D3[label].representative
 
 
-def _admissible_sequences(degree, max_breaks):
-    """Depth-first search over the admissible slope tuples with at most
-    max_breaks breaks: each step spends |jump| of the variation budget
-    2d-2 and must leave enough of it to return to slope d."""
-    budget = 2 * degree - 2
-
-    def extend(slopes, used):
-        s = slopes[-1]
-        if used == budget and s == degree and len(slopes) <= max_breaks + 1:
-            yield slopes
-        remaining = budget - used
-        if len(slopes) > max_breaks or remaining == 0:
-            return
-        for t in range(1, s + remaining + 1):
-            if t != s and abs(t - s) + abs(degree - t) <= remaining:
-                yield from extend(slopes + (t,), used + abs(t - s))
-
-    return extend((degree,), 0)
+def _extend(out, degree, max_breaks, slopes, s, remaining):
+    """Append to `out` every canonical admissible completion of `slopes`
+    with at most max_breaks breaks in all.  The sequence ends at slope s
+    with `remaining` of the variation budget 2d-2 left; each step spends
+    |jump| of it and must leave enough to return to slope d."""
+    if remaining == 0:   # then s == d: the walk is back home
+        if len(slopes) <= max_breaks + 1 and slopes <= slopes[::-1]:
+            out.append(slopes)
+        return
+    if len(slopes) > max_breaks:
+        return
+    # |t - s| + |d - t| <= remaining, solved for t; the bounds are whole
+    # because remaining - |s - d| stays even
+    for t in range(max(1, (s + degree - remaining) // 2), (s + degree + remaining) // 2 + 1):
+        if t != s:
+            _extend(out, degree, max_breaks, slopes + (t,), t, remaining - abs(t - s))
 
 
 def enumerate_types(degree: int, max_breaks: int | None = None):
     """All combinatorial types of the given degree, up to reversal.
 
     Search space is finite since each jump contributes at least 1 to the
-    variation budget 2d-2.  Each reversal class is kept once, in its
-    canonical orientation.  Output order: k descending, then canonical
-    sequences lexicographically.
+    variation budget 2d-2.  A recursive search appends each admissible
+    slope tuple that is no greater than its reversal to one list, so each
+    reversal class is kept once, in its canonical orientation; the list
+    is sorted before any type is built.  Output order: k descending, then
+    canonical sequences lexicographically.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
     cap = 2 * degree - 2
     if max_breaks is not None:
         cap = min(cap, max_breaks)
-    types = [canonical_type(SlopeSequence(degree, slopes))
-             for slopes in _admissible_sequences(degree, cap)
-             if not _reversal_min(slopes)[1]]
-    return sorted(types, key=lambda t: (-t.k, t.canonical.slopes))
+    found = []
+    _extend(found, degree, cap, (degree,), degree, 2 * degree - 2)
+    found.sort(key=lambda q: (-len(q), q))
+    labels = _D3_LABELS if degree == 3 else {}
+    types = []
+    for q in found:
+        seq = SlopeSequence(degree, q)
+        types.append(CombinatorialType(seq, _is_palindrome(q), labels.get(q), seq))
+    return types

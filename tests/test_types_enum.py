@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 
 from tropmaps import (SlopeSequence, canonical_type, enumerate_types,
                       registry_d3, registry_sequence)
+from tropmaps.types_enum import _D3_LABELS, _admissibility_reasons
 
 THEOREM_SEQUENCES = {
     4: {(3, 4, 5, 4, 3), (3, 4, 3, 4, 3), (3, 4, 3, 2, 3),
@@ -80,6 +82,30 @@ class TestEnumeration:
             got = [t.canonical.slopes for t in enumerate_types(degree, cap)]
             assert len(got) == len(set(got))
             assert set(got) == {s for s in oracle if len(s) - 1 <= cap}
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_exact_output_for_every_cap(self, degree):
+        oracle = sorted(oracle_types(degree), key=lambda s: (-len(s), s))
+        for cap in range(-1, 2 * degree - 1):
+            types = enumerate_types(degree, cap)
+            assert [t.canonical.slopes for t in types] == [s for s in oracle if len(s) - 1 <= cap]
+            for t in types:
+                s = t.canonical.slopes
+                assert t.palindromic == (s == s[::-1])
+                assert t.representative is t.canonical
+                assert t.label == (_D3_LABELS[s] if degree == 3 else None)
+                assert canonical_type(t.canonical) == t
+
+    def test_leaves_no_cyclic_garbage(self):
+        # cycles are freed only by the collector, which a long search
+        # may not run for a while: the search must not make any
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_types(6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_max_breaks_filter(self):
         types = enumerate_types(3, max_breaks=3)
@@ -163,8 +189,17 @@ class TestSlopeSequence:
             SlopeSequence(3, (3, 5, 5, 3))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty slope sequence"):
+        with pytest.raises(ValueError, match="^empty slope sequence$"):
             SlopeSequence(3, ())
+
+    def test_every_reason_in_order(self):
+        reasons = ["end slopes (2, 0) differ from degree 3", "non-positive slope present",
+                   "zero jump (repeated consecutive slope)", "total ramification 2 != 4"]
+        with pytest.raises(ValueError) as err:
+            SlopeSequence(3, (2, 0, 0))
+        assert str(err.value) == "; ".join(reasons)
+        # the Fraction slopes of a map, as plcore.is_admissible passes them
+        assert _admissibility_reasons(3, (Fraction(2), Fraction(0), Fraction(0))) == reasons
 
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValueError, match="end slopes"):
@@ -175,6 +210,13 @@ class TestSlopeSequence:
     def test_rejects_non_integer_slopes(self, slopes):
         with pytest.raises(ValueError, match="non-integer slope"):
             SlopeSequence(3, slopes)
+
+    @pytest.mark.parametrize("slope, echo", [(4.5, "4.5"), (True, "True"),
+                                             ("x", "'x'"), (3.0, "3.0")])
+    def test_non_integer_slope_message(self, slope, echo):
+        with pytest.raises(ValueError) as err:
+            SlopeSequence(3, (3, slope, 3))
+        assert str(err.value) == "non-integer slope: " + echo
 
     def test_non_integer_slope_is_echoed_as_a_rational(self):
         with pytest.raises(ValueError, match="^non-integer slope: 7/2$"):
