@@ -14,7 +14,7 @@ from itertools import accumulate, product
 
 from .errors import DomainError
 from .plcore import _merge_kinks
-from .rational import POS_INF, is_infinite, parse_extended
+from .rational import is_infinite, parse_extended
 from .record import Record
 from .types_enum import _D3_LABELS, SlopeSequence
 
@@ -26,17 +26,28 @@ VALID_MERGE = "valid-merge"
 REDUCED_VARIATION = "reduced-variation"
 
 
+def _require_four_breaks(seq):
+    if seq.k != 4:
+        raise DomainError("compactified cells exist for four-break types only, "
+                          "got k=%d" % seq.k, code="not-a-maximal-type")
+
+
+def _extended_gap(g):
+    """A python caller's gap entry: the float inf as it is, else parse_extended."""
+    return g if is_infinite(g) else parse_extended(g)
+
+
 class CompactifiedPoint(Record):
     seq: SlopeSequence
     extended_gaps: tuple  # each 0, a positive rational, or inf
 
-    def __init__(self, seq, extended_gaps):
-        if seq.k != 4:
-            raise DomainError("compactified cells exist for four-break types only, "
-                              "got k=%d" % seq.k, code="not-a-maximal-type")
-        gaps = tuple(g if is_infinite(g) else parse_extended(g) for g in extended_gaps)
+    def __init__(self, seq, extended_gaps, *, parse=_extended_gap):
+        """`parse` reads one gap entry; it runs only once the count is right."""
+        _require_four_breaks(seq)
+        gaps = tuple(extended_gaps)
         if len(gaps) != 3:
             raise ValueError("need exactly three extended gap coordinates")
+        gaps = tuple(map(parse, gaps))
         if any(g < 0 for g in gaps):
             raise ValueError("gap coordinates must lie in [0, inf]")
         super().__init__(seq, gaps)
@@ -60,23 +71,39 @@ def _coordinate_state(g):
     return OPEN
 
 
-def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
-    """Coordinate states, collision tags, and the limit slope sequence."""
-    states = tuple(_coordinate_state(g) for g in p.extended_gaps)
-    collisions = tuple((i, VALID_MERGE if p.seq.jumps_share_sign(i)
-                        else REDUCED_VARIATION)
+def _merges(seq):
+    """Whether each of the three gaps closes by a valid merge."""
+    return seq.jumps_share_sign(1), seq.jumps_share_sign(2), seq.jumps_share_sign(3)
+
+
+def _stratum(seq, jumps, merges, states):
+    """The face of a four-break sequence with the given coordinate states;
+    `jumps` and `merges` are the sequence's, read once per sequence."""
+    collisions = tuple((i, VALID_MERGE if merges[i - 1] else REDUCED_VARIATION)
                        for i, st in enumerate(states, start=1) if st == ZERO)
     infinity = tuple(i for i, st in enumerate(states, start=1) if st == INFINITE)
     # Breaks i and i+1 sit at one position exactly when gap i is zero.
     at = accumulate((st != ZERO for st in states), initial=0)
-    _, slopes = _merge_kinks(p.seq.slopes[0], zip(at, p.seq.jumps))
-    label = _D3_LABELS.get(tuple(slopes))
-    return BoundaryStratum(states, sum(1 for s in states if s != OPEN),
-                           collisions, infinity, tuple(slopes),
-                           label is not None, label)
+    _, slopes = _merge_kinks(seq.slopes[0], zip(at, jumps))
+    slopes = tuple(slopes)
+    label = _D3_LABELS.get(slopes)
+    return BoundaryStratum(states, 3 - states.count(OPEN), collisions, infinity,
+                           slopes, label is not None, label)
+
+
+def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
+    """Coordinate states, collision tags, and the limit slope sequence."""
+    seq = p.seq
+    return _stratum(seq, seq.jumps, _merges(seq),
+                    tuple(map(_coordinate_state, p.extended_gaps)))
 
 
 def face_lattice(seq: SlopeSequence):
-    """All 27 coordinate-state faces of the cube of a four-break type."""
-    return [classify_stratum(CompactifiedPoint(seq, gaps))
-            for gaps in product((0, 1, POS_INF), repeat=3)]
+    """All 27 coordinate-state faces of the cube of a four-break type, in
+    product order over zero < open < infinite with the first gap slowest:
+    (zero, zero, zero), (zero, zero, open), ..., (infinite, infinite, infinite).
+    The strata command and its golden output list the faces in this order."""
+    _require_four_breaks(seq)
+    jumps, merges = seq.jumps, _merges(seq)
+    return [_stratum(seq, jumps, merges, states)
+            for states in product((ZERO, OPEN, INFINITE), repeat=3)]

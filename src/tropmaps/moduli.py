@@ -32,10 +32,11 @@ class ModuliPoint(Record):
     position: Fraction
 
     def __init__(self, seq, gaps, position):
-        gaps = tuple(parse_rational(g) for g in gaps)
         position = parse_rational(position)
-        if len(gaps) != seq.k - 1:
+        gaps = tuple(gaps)
+        if len(gaps) != seq.k - 1:   # before any gap is parsed
             raise ValueError("need k-1 gap lengths")
+        gaps = tuple(map(parse_rational, gaps))
         if any(g <= 0 for g in gaps):
             raise ValueError("gap lengths must be positive")
         super().__init__(seq, gaps, position)

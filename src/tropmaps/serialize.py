@@ -65,12 +65,11 @@ def point_from_json(obj) -> ModuliPoint:
 
 @decoder
 def compact_point_from_json(obj) -> CompactifiedPoint:
-    seq = SlopeSequence(3, _list(obj, "slopes"))
-    # Parsed here as well as in the constructor: JSON Infinity loads as the
-    # float inf, which the constructor takes from python callers, while the
-    # schema's infinite gap is the string "inf".
-    gaps = tuple(parse_extended(g) for g in _list(obj, "gaps"))
-    return CompactifiedPoint(seq, gaps)
+    # Each gap entry goes through parse_extended alone: JSON Infinity loads as
+    # the float inf, which the constructor takes from python callers, while
+    # the schema's infinite gap is the string "inf".
+    return CompactifiedPoint(SlopeSequence(3, _list(obj, "slopes")),
+                             _list(obj, "gaps"), parse=parse_extended)
 
 
 def network_to_json(net: ReLUNetwork) -> dict:

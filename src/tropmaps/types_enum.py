@@ -63,8 +63,8 @@ class SlopeSequence(Record):
     def jumps_share_sign(self, i) -> bool:
         """Whether the jumps at breaks i and i+1 (gap i, 1-based) share a sign,
         so the breaks can collide without reducing the total variation."""
-        jumps = self.jumps
-        return (jumps[i - 1] > 0) == (jumps[i] > 0)
+        a, b, c = self.slopes[i - 1:i + 2]   # the jumps are b - a and c - b
+        return (b > a) == (c > b)
 
     def reversed_(self) -> "SlopeSequence":
         return SlopeSequence(self.degree, tuple(reversed(self.slopes)))

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from tropmaps import (BranchConfiguration, cli, face_lattice, fiber, hurwitz, moduli_point,
-                      plcore, registry_sequence, serialize, types_enum)
+from tropmaps import (BranchConfiguration, cli, compact, face_lattice, fiber, hurwitz, moduli,
+                      moduli_point, plcore, rational, registry_sequence, serialize, types_enum)
+from tropmaps.errors import InputError
 
 
 @pytest.fixture
@@ -23,11 +24,41 @@ def constructions(monkeypatch):
     return built
 
 
-def test_face_lattice_builds_no_slope_sequence(constructions):
-    seq = registry_sequence("I")
-    constructions.clear()
-    assert len(face_lattice(seq)) == 27
-    assert constructions == []
+@pytest.fixture
+def points(monkeypatch):
+    """The gaps of every CompactifiedPoint built while the test runs."""
+    built = []
+    check = compact.CompactifiedPoint.__init__
+
+    def counted(self, seq, extended_gaps, **kwargs):
+        built.append(extended_gaps)
+        check(self, seq, extended_gaps, **kwargs)
+    monkeypatch.setattr(compact.CompactifiedPoint, "__init__", counted)
+    return built
+
+
+@pytest.fixture
+def jump_reads(monkeypatch):
+    """The slopes of every SlopeSequence whose jumps are read while the test runs."""
+    read = []
+    jumps = types_enum.SlopeSequence.jumps.fget
+    monkeypatch.setattr(types_enum.SlopeSequence, "jumps",
+                        property(lambda seq: read.append(seq.slopes) or jumps(seq)))
+    return read
+
+
+def test_face_lattice_builds_no_slope_sequence(constructions, points, jump_reads):
+    for label in ("I", "II", "III", "IV", "V"):
+        seq = registry_sequence(label)
+        del constructions[:], points[:], jump_reads[:]
+        assert len(face_lattice(seq)) == 27
+        assert constructions == [] and len(points) <= 1 and len(jump_reads) <= 1
+
+
+def test_strata_command_builds_at_most_one_point(capsys, points):
+    assert cli.main(["strata", "--type", "I", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["strata"]) == 27
+    assert len(points) <= 1
 
 
 def test_fiber_builds_no_slope_sequence(constructions):
@@ -169,3 +200,53 @@ def test_symmetry_builds_only_the_converted_map(capsys, monkeypatch, maps):
     assert payload["aut"] == "z2"
     assert payload["gap_condition"] == {"l1": "1", "l3": "1", "equal": True}
     assert len(maps) == 1
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """How often parse_rational and parse_extended run while the test runs."""
+    counts = Counter()
+
+    def counting(name, parse):
+        def counted(value):
+            counts[name] += 1
+            return parse(value)
+        return counted
+    wrapped = {name: counting(name, getattr(rational, name))
+               for name in ("parse_rational", "parse_extended")}
+    for module in (rational, compact, serialize, moduli):
+        for name, counted in wrapped.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+MANY_GAPS = ["1"] * 100000
+
+
+@pytest.mark.parametrize("decode, obj, message, parsed", [
+    (serialize.compact_point_from_json, {"slopes": [3, 4, 5, 4, 3], "gaps": MANY_GAPS},
+     "need exactly three extended gap coordinates", 0),
+    # the moduli point's one parse is its position
+    (serialize.point_from_json, {"slopes": [3, 4, 5, 4, 3], "gaps": MANY_GAPS, "position": "0"},
+     "need k-1 gap lengths", 1),
+], ids=["compact", "moduli"])
+def test_a_wrong_gap_count_parses_no_gap(parses, decode, obj, message, parsed):
+    with pytest.raises(InputError, match=message):
+        decode(obj)
+    assert sum(parses.values()) == parsed
+
+
+def test_three_compact_gaps_are_each_parsed_once(parses):
+    p = serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": ["0", "2", "inf"]})
+    assert p.extended_gaps == (0, 2, rational.POS_INF)
+    assert parses == {"parse_extended": 3, "parse_rational": 2}
+
+
+def test_a_python_caller_may_pass_inf_but_json_may_not():
+    p = compact.CompactifiedPoint(registry_sequence("I"), (1, rational.POS_INF, 1))
+    assert p.extended_gaps == (1, rational.POS_INF, 1)
+    for gap in (rational.POS_INF, rational.NEG_INF):
+        with pytest.raises(InputError) as info:
+            serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", gap, "1"]})
+        assert str(info.value) == "not a rational: %s" % gap

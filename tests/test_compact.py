@@ -1,8 +1,10 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint,
                       SlopeSequence, classify_stratum, degenerate, face_lattice,
@@ -10,6 +12,11 @@ from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint,
 
 INF = math.inf
 DEGENERATE_LABELS = {"VI", "VII", "VIII", "IX", "X"}
+# Every admissible four-break degree-3 tuple in both orientations: six, as
+# only type III is not a palindrome.
+ORIENTED_FOUR_BREAK = sorted({s for t in registry_d3() if t.k == 4
+                              for s in (t.canonical.slopes, t.canonical.slopes[::-1])})
+OPEN_GAPS = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
 
 
 def cp(label, gaps):
@@ -148,6 +155,20 @@ class TestFaceLattice:
             2: ("reduced-variation", (3, 4, 3)),
             3: ("valid-merge", (3, 4, 5, 3)),
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(slopes=st.sampled_from(ORIENTED_FOUR_BREAK),
+           opens=st.lists(OPEN_GAPS, min_size=3, max_size=3))
+    def test_each_face_is_the_stratum_of_a_point_on_it(self, slopes, opens):
+        # a zero state is gap 0, an infinite one inf, an open one a drawn rational
+        seq = SlopeSequence(3, slopes)
+        faces = face_lattice(seq)
+        assert [f.coordinate_states for f in faces] == list(
+            product(("zero", "open", "infinite"), repeat=3))
+        for face in faces:
+            gaps = tuple({"zero": 0, "open": g, "infinite": INF}[state]
+                         for state, g in zip(face.coordinate_states, opens))
+            assert face == classify_stratum(CompactifiedPoint(seq, gaps))
 
     def test_all_maximal_types_census(self):
         for t in registry_d3():
