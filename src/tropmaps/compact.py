@@ -32,22 +32,16 @@ def _require_four_breaks(seq):
                           "got k=%d" % seq.k, code="not-a-maximal-type")
 
 
-def _extended_gap(g):
-    """A python caller's gap entry: the float inf as it is, else parse_extended."""
-    return g if is_infinite(g) else parse_extended(g)
-
-
 class CompactifiedPoint(Record):
     seq: SlopeSequence
     extended_gaps: tuple  # each 0, a positive rational, or inf
 
-    def __init__(self, seq, extended_gaps, *, parse=_extended_gap):
-        """`parse` reads one gap entry; it runs only once the count is right."""
+    def __init__(self, seq, extended_gaps):
         _require_four_breaks(seq)
         gaps = tuple(extended_gaps)
-        if len(gaps) != 3:
+        if len(gaps) != 3:  # counted before any gap is read
             raise ValueError("need exactly three extended gap coordinates")
-        gaps = tuple(map(parse, gaps))
+        gaps = tuple(map(parse_extended, gaps))
         if any(g < 0 for g in gaps):
             raise ValueError("gap coordinates must lie in [0, inf]")
         super().__init__(seq, gaps)

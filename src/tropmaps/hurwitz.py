@@ -44,19 +44,20 @@ class BranchConfiguration(Record):
     distances: tuple
 
     def __init__(self, distances):
-        ds = tuple(parse_rational(d) for d in distances)
-        if len(ds) != 3:
+        ds = tuple(distances)
+        if len(ds) != 3:  # counted before any distance is read
             raise ValueError("need exactly three distances")
+        ds = tuple(map(parse_rational, ds))
         if any(d <= 0 for d in ds):
             raise NonGenericConfiguration("branch points must be distinct")
         super().__init__(ds)
 
     @classmethod
     def from_branch_points(cls, points):
-        pts = [parse_rational(p) for p in points]
+        pts = tuple(points)
         if len(pts) != 4:
             raise ValueError("need exactly four branch points")
-        pts.sort()
+        pts = sorted(map(parse_rational, pts))
         return cls(tuple(b - a for a, b in zip(pts, pts[1:])))
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import itemgetter, sub
 
 from .errors import InputError
-from .rational import POS_INF, _bounded_echo, is_infinite, parse_rational
+from .rational import POS_INF, _bounded_echo, is_infinite, parse_extended, parse_rational
 from .record import Record
 from .types_enum import _admissibility_reasons
 
@@ -64,7 +64,7 @@ class TropicalPolynomial(Record):
     coefficients: tuple
 
     def __init__(self, coefficients):
-        coeffs = tuple(c if is_infinite(c) else parse_rational(c) for c in coefficients)
+        coeffs = tuple(map(parse_extended, coefficients))
         if POS_INF in coeffs:
             raise ValueError("coefficients may be rational or -inf")
         if not coeffs or is_infinite(coeffs[-1]):
@@ -122,21 +122,20 @@ def break_values(m: TropicalMap):
 
 
 def evaluate(m: TropicalMap, x):
-    """Evaluate at a rational or at +/-inf (extended-value boundaries).
+    """Evaluate at an extended rational (parse_extended): a rational or +/-inf.
 
     Any other argument, a finite float or a bool included, raises InputError.
     """
+    try:
+        x = parse_extended(x)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if is_infinite(x):
         s = m.slopes[-1] if x > 0 else m.slopes[0]
         if s:
             return x if s > 0 else -x
         # A flat end: the value at the last break, or else the anchor value.
         return m.break_point_values[-1] if x > 0 and m.break_points else m.anchor_value
-
-    try:
-        x = parse_rational(x)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     if not m.break_points or x <= m.break_points[0]:
         return m.anchor_value + m.slopes[0] * (x - _anchor_point(m.break_points))
     j = bisect_right(m.break_points, x) - 1

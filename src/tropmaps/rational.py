@@ -92,7 +92,10 @@ def _too_large():
 
 
 def parse_extended(value):
-    """Like parse_rational but accepting "inf" / "-inf"."""
+    """The one reader of an extended rational: the float +/-inf as it is,
+    "inf" / "-inf" (any case, whitespace stripped), else parse_rational."""
+    if is_infinite(value):
+        return value
     if isinstance(value, str):
         s = value.strip().lower()
         if s in ("inf", "+inf", "infinity", "oo"):

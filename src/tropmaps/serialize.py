@@ -13,7 +13,7 @@ from .compact import CompactifiedPoint
 from .errors import InputError, decoder
 from .moduli import ModuliPoint
 from .plcore import TropicalMap, TropicalPolynomial
-from .rational import format_rational, parse_extended
+from .rational import format_rational, parse_rational
 from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
@@ -33,6 +33,12 @@ def _list(obj, key):
     if not isinstance(value, list):
         raise SchemaError("field %r must be a JSON list" % key)
     return value
+
+
+def _no_floats(values):
+    """A JSON list of extended rationals; each float in it (Infinity, NaN, 1.5:
+    a python caller's value only) raises parse_rational's error when reached."""
+    return (parse_rational(v) if isinstance(v, float) else v for v in values)
 
 
 def map_to_json(m: TropicalMap) -> dict:
@@ -65,11 +71,8 @@ def point_from_json(obj) -> ModuliPoint:
 
 @decoder
 def compact_point_from_json(obj) -> CompactifiedPoint:
-    # Each gap entry goes through parse_extended alone: JSON Infinity loads as
-    # the float inf, which the constructor takes from python callers, while
-    # the schema's infinite gap is the string "inf".
     return CompactifiedPoint(SlopeSequence(3, _list(obj, "slopes")),
-                             _list(obj, "gaps"), parse=parse_extended)
+                             _no_floats(_list(obj, "gaps")))
 
 
 def network_to_json(net: ReLUNetwork) -> dict:
@@ -92,4 +95,4 @@ def network_from_json(obj) -> ReLUNetwork:
 def polynomial_from_json(values) -> TropicalPolynomial:
     if not isinstance(values, list):
         raise SchemaError("a polynomial must be a JSON list of coefficients")
-    return TropicalPolynomial(tuple(parse_extended(c) for c in values))
+    return TropicalPolynomial(_no_floats(values))

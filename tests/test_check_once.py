@@ -2,7 +2,9 @@
 
 import io
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -214,7 +216,7 @@ def parses(monkeypatch):
         return counted
     wrapped = {name: counting(name, getattr(rational, name))
                for name in ("parse_rational", "parse_extended")}
-    for module in (rational, compact, serialize, moduli):
+    for module in (rational, compact, serialize, moduli, plcore, hurwitz):
         for name, counted in wrapped.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
@@ -243,10 +245,49 @@ def test_three_compact_gaps_are_each_parsed_once(parses):
     assert parses == {"parse_extended": 3, "parse_rational": 2}
 
 
+def test_n_coefficients_are_each_read_once(parses):
+    p = serialize.polynomial_from_json(["0", "-inf", "1/2", "-inf", "3"])
+    assert p.coefficients == (0, rational.NEG_INF, Fraction(1, 2), rational.NEG_INF, 3)
+    # each finite coefficient is parsed by parse_extended's own parse_rational call
+    assert parses == {"parse_extended": 5, "parse_rational": 3}
+
+
 def test_a_python_caller_may_pass_inf_but_json_may_not():
     p = compact.CompactifiedPoint(registry_sequence("I"), (1, rational.POS_INF, 1))
     assert p.extended_gaps == (1, rational.POS_INF, 1)
-    for gap in (rational.POS_INF, rational.NEG_INF):
+    q = plcore.TropicalPolynomial((rational.NEG_INF, "0"))
+    assert q.coefficients == (rational.NEG_INF, 0)
+    for gap in (rational.POS_INF, rational.NEG_INF, math.nan):
         with pytest.raises(InputError) as info:
             serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", gap, "1"]})
         assert str(info.value) == "not a rational: %s" % gap
+    # a JSON float is a shape fault: it is reported before the gap count
+    with pytest.raises(InputError, match="^not a rational: inf$"):
+        serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": [rational.POS_INF]})
+    for coefficients, bad in ((["0", rational.NEG_INF], "-inf"), ([rational.NEG_INF, "0"], "-inf"),
+                              (["0", math.nan], "nan")):
+        with pytest.raises(InputError) as info:
+            serialize.polynomial_from_json(coefficients)
+        assert str(info.value) == "not a rational: " + bad
+
+
+MANY_ENTRIES = ["1"] * 60000
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BranchConfiguration(MANY_ENTRIES), "need exactly three distances"),
+    (lambda: BranchConfiguration.from_branch_points(MANY_ENTRIES),
+     "need exactly four branch points"),
+], ids=["distances", "branch-points"])
+def test_a_wrong_branch_count_parses_no_entry(parses, build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+    assert sum(parses.values()) == 0
+
+
+@pytest.mark.parametrize("option, message", [("--distances", "need exactly three distances"),
+                                             ("--branch", "need exactly four branch points")])
+def test_the_hurwitz_command_counts_before_it_parses(capsys, parses, option, message):
+    assert cli.main(["hurwitz", option, ",".join(MANY_ENTRIES), "--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["detail"] == message
+    assert sum(parses.values()) == 0

@@ -67,6 +67,12 @@ class TestClassifyStratum:
         assert s.infinity_indices == (3,) and s.collisions == ()
         assert s.in_moduli  # no collision: the slope data is untouched
 
+    def test_infinity_strings_are_the_float_infinities(self):
+        assert cp("I", ("1", "inf", "0")) == cp("I", (1, INF, 0))
+        for gap in ("-inf", -INF):
+            with pytest.raises(ValueError, match=r"must lie in \[0, inf\]"):
+                cp("I", (1, gap, 1))
+
     def test_cascading_collision(self):
         # both outer gaps vanish: two valid merges at once for type I
         s = classify_stratum(cp("I", (0, 1, 0)))

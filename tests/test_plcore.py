@@ -46,6 +46,11 @@ class TestEvaluate:
         assert evaluate(example_map, math.inf) == math.inf
         assert evaluate(example_map, -math.inf) == -math.inf
 
+    def test_infinity_strings_are_the_float_infinities(self, example_map):
+        for m in (example_map, TropicalMap((0, 1), (0, 7, 0), 2)):
+            for text, x in (("inf", math.inf), ("-inf", -math.inf)):
+                assert evaluate(m, text) == evaluate(m, x)
+
     @pytest.mark.parametrize("first", range(-2, 3))
     @pytest.mark.parametrize("last", range(-2, 3))
     def test_infinite_arguments_by_end_slope(self, first, last):
@@ -336,9 +341,14 @@ class TestTropicalPolynomial:
                 TropicalPolynomial(coeffs)
 
     def test_positive_infinity_rejected(self):
-        for coeffs in ((0, math.inf, 1), (0, 1, math.inf)):
+        for coeffs in ((0, math.inf, 1), (0, 1, math.inf), ("0", "inf", "1")):
             with pytest.raises(ValueError, match="rational or -inf"):
                 TropicalPolynomial(coeffs)
+
+    def test_infinity_strings_are_the_float_infinities(self):
+        assert TropicalPolynomial(("-inf", "0")) == TropicalPolynomial((NEG_INF, 0))
+        with pytest.raises(ValueError, match="top coefficient must be finite"):
+            TropicalPolynomial(("0", "-inf"))
 
 
 class TestTropicalize:

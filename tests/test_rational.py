@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tropmaps.errors import DomainError
-from tropmaps.rational import _bounded_echo, format_rational, parse_rational
+from tropmaps.rational import (NEG_INF, POS_INF, _bounded_echo, format_rational,
+                               parse_extended, parse_rational)
 
 
 def via_fraction(x):
@@ -44,6 +46,26 @@ class TestParseRational:
     def test_short_values_are_echoed_whole(self):
         with pytest.raises(ValueError, match=r"not a rational: '1\.5'$"):
             parse_rational("1.5")
+
+
+class TestParseExtended:
+    def test_the_float_infinities_are_returned_as_they_are(self):
+        for x in (POS_INF, NEG_INF):
+            assert parse_extended(x) is x
+
+    @pytest.mark.parametrize("text, x", [("inf", POS_INF), ("-inf", NEG_INF),
+                                         (" INF ", POS_INF), ("6/4", Fraction(3, 2))])
+    def test_strings(self, text, x):
+        assert parse_extended(text) == x
+
+    @pytest.mark.parametrize("value, message", [(math.nan, "not a rational: nan"),
+                                                (0.5, "not a rational: 0.5"),
+                                                (True, "booleans are not rationals")])
+    def test_any_other_float_or_bool_gets_the_parse_rational_error(self, value, message):
+        for parse in (parse_extended, parse_rational):
+            with pytest.raises(ValueError) as info:
+                parse(value)
+            assert str(info.value) == message
 
 
 class TestBoundedEcho:

@@ -117,9 +117,12 @@ def test_an_evaluated_map_is_the_same_key():
     # +inf is checked before the top coefficient
     (lambda: TropicalPolynomial((POS_INF, POS_INF)), ValueError,
      "coefficients may be rational or -inf"),
-    # the distances are parsed before they are counted
-    (lambda: BranchConfiguration(("x", 0)), ValueError, "not a rational: 'x'"),
-], ids=["ModuliPoint", "CompactifiedPoint", "TropicalPolynomial", "BranchConfiguration"])
+    # the distances are counted before they are parsed
+    (lambda: BranchConfiguration(("x", 0)), ValueError, "need exactly three distances"),
+    # of three distances, the first bad one reports
+    (lambda: BranchConfiguration(("x", 0, 1)), ValueError, "not a rational: 'x'"),
+], ids=["ModuliPoint", "CompactifiedPoint", "TropicalPolynomial", "BranchConfiguration",
+        "BranchConfiguration-three"])
 def test_of_two_bad_arguments_the_first_check_reports(build, error, message):
     with pytest.raises(ValueError) as info:
         build()
