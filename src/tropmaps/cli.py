@@ -17,8 +17,7 @@ from collections import Counter
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
 from .errors import DomainError, InputError, TropmapsError, decoder
-from .rational import (_bounded_echo, _too_large, format_extended, format_rational,
-                       parse_extended)
+from .rational import _bounded_echo, _too_large, format_extended, format_rational
 
 
 def _load_json(path):
@@ -207,7 +206,7 @@ COMMANDS = (
      _map, _classify, None, _print_kv),
     ("eval", "evaluate a map at a point",
      [INPUT, ("--at", {"required": True, "help": "write a negative value as --at=-1/2"})],
-     lambda a: (_valid_map(a), parse_extended(a.at)), lambda v: plcore.evaluate(*v),
+     lambda a: (_valid_map(a), a.at), lambda v: plcore.evaluate(*v),
      lambda x: {"value": format_extended(x)}, lambda p: print(p["value"])),
     ("aut", "automorphism group of a moduli point", [INPUT],
      _point, lambda p: moduli.automorphisms(p), _aut_json, _print_kv),

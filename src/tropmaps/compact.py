@@ -14,7 +14,7 @@ from itertools import accumulate, product
 
 from .errors import DomainError
 from .plcore import _merge_kinks
-from .rational import is_infinite, parse_extended
+from .rational import is_infinite, parse_exactly, parse_extended
 from .record import Record
 from .types_enum import _D3_LABELS, SlopeSequence
 
@@ -38,10 +38,8 @@ class CompactifiedPoint(Record):
 
     def __init__(self, seq, extended_gaps):
         _require_four_breaks(seq)
-        gaps = tuple(extended_gaps)
-        if len(gaps) != 3:  # counted before any gap is read
-            raise ValueError("need exactly three extended gap coordinates")
-        gaps = tuple(map(parse_extended, gaps))
+        gaps = parse_exactly(extended_gaps, 3, "need exactly three extended gap coordinates",
+                             parse_extended)
         if any(g < 0 for g in gaps):
             raise ValueError("gap coordinates must lie in [0, inf]")
         super().__init__(seq, gaps)

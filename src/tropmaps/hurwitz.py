@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .moduli import ModuliPoint
-from .rational import parse_rational
+from .rational import parse_exactly, parse_rational
 from .record import Record
 from .types_enum import _D3_LABELS, SlopeSequence, _reversal_min
 
@@ -44,20 +44,14 @@ class BranchConfiguration(Record):
     distances: tuple
 
     def __init__(self, distances):
-        ds = tuple(distances)
-        if len(ds) != 3:  # counted before any distance is read
-            raise ValueError("need exactly three distances")
-        ds = tuple(map(parse_rational, ds))
+        ds = parse_exactly(distances, 3, "need exactly three distances", parse_rational)
         if any(d <= 0 for d in ds):
             raise NonGenericConfiguration("branch points must be distinct")
         super().__init__(ds)
 
     @classmethod
     def from_branch_points(cls, points):
-        pts = tuple(points)
-        if len(pts) != 4:
-            raise ValueError("need exactly four branch points")
-        pts = sorted(map(parse_rational, pts))
+        pts = sorted(parse_exactly(points, 4, "need exactly four branch points", parse_rational))
         return cls(tuple(b - a for a, b in zip(pts, pts[1:])))
 
 

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .errors import DomainError, InputError
 from .plcore import TropicalMap, _anchor_point
-from .rational import parse_rational
+from .rational import parse_exactly, parse_rational
 from .record import Record
 from .types_enum import SlopeSequence, _is_palindrome
 
@@ -33,10 +33,7 @@ class ModuliPoint(Record):
 
     def __init__(self, seq, gaps, position):
         position = parse_rational(position)
-        gaps = tuple(gaps)
-        if len(gaps) != seq.k - 1:   # before any gap is parsed
-            raise ValueError("need k-1 gap lengths")
-        gaps = tuple(map(parse_rational, gaps))
+        gaps = parse_exactly(gaps, seq.k - 1, "need k-1 gap lengths", parse_rational)
         if any(g <= 0 for g in gaps):
             raise ValueError("gap lengths must be positive")
         super().__init__(seq, gaps, position)
@@ -47,8 +44,8 @@ class ModuliPoint(Record):
 
 class AutGroup(Record):
     kind: str  # TRIVIAL or Z2
-    reflection_center: Fraction | None = None
-    target_shift: Fraction | None = None
+    reflection_center: Fraction | None
+    target_shift: Fraction | None
 
 
 class StratumDescriptor(Record):
@@ -90,7 +87,7 @@ def automorphisms(p: ModuliPoint) -> AutGroup:
     and gaps; for four breaks b = d1+d2+d3 (README point: 4 + 10 + 4 = 18).
     """
     if not (_is_palindrome(p.seq.slopes) and _is_palindrome(p.gaps)):
-        return AutGroup(TRIVIAL)
+        return AutGroup(TRIVIAL, None, None)
     xs = p.break_points()
     shift = sum(s * l for s, l in zip(p.seq.slopes[1:-1], p.gaps))
     return AutGroup(Z2, (xs[0] + xs[-1]) / 2, shift)

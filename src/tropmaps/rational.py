@@ -49,6 +49,15 @@ def parse_rational(value):
     raise ValueError("not a rational: " + _bounded_echo(value))
 
 
+def parse_exactly(values, n, message, parse):
+    """The n entries of values, each read by parse.  Any other count raises
+    ValueError(message) before an entry is read: a list can be huge."""
+    values = tuple(values)
+    if len(values) != n:
+        raise ValueError(message)
+    return tuple(map(parse, values))
+
+
 def _bounded_echo(value, form=None, width=40):
     """A rejected value (or a message listing several) written by form, cut
     to width characters plus its length: it can be thousands of digits long.

@@ -1,6 +1,6 @@
 """Frozen value records, the base of the package's value types.  The fields
-are the class annotations, in order; a trailing one with a class-level value
-is optional.  `==`, `hash`, `repr` go by field; no attribute can be set or deleted.
+are the class annotations, in order, and a plain record takes one positional
+value for each.  `==`, `hash`, `repr` go by field; no attribute can be set or deleted.
 A parsing type defines `__init__` and passes the parsed values to `Record.__init__` once."""
 
 from operator import attrgetter
@@ -14,26 +14,14 @@ class Record:
         get = attrgetter(*fields)
         cls._values = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError("%s() takes (%s)" % (type(self).__name__, ", ".join(fields)))
         i = 0
         for name in fields:   # indexing args costs less per field than unpacking a zip
             _set(self, name, args[i])
             i += 1
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        """The field values of a call that names fields or leaves defaults out."""
-        try:
-            values = [*args, *(kwargs.pop(name) if name in kwargs else vars(cls)[name]
-                               for name in cls._fields[len(args):])]
-        except KeyError:   # a field with no value
-            values = None
-        if kwargs or values is None or len(values) != len(cls._fields):
-            raise TypeError("%s() takes (%s)" % (cls.__name__, ", ".join(cls._fields)))
-        return values
 
     def __eq__(self, other):
         return (self._values(self) == self._values(other)

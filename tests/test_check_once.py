@@ -32,9 +32,9 @@ def points(monkeypatch):
     built = []
     check = compact.CompactifiedPoint.__init__
 
-    def counted(self, seq, extended_gaps, **kwargs):
+    def counted(self, seq, extended_gaps):
         built.append(extended_gaps)
-        check(self, seq, extended_gaps, **kwargs)
+        check(self, seq, extended_gaps)
     monkeypatch.setattr(compact.CompactifiedPoint, "__init__", counted)
     return built
 
@@ -216,7 +216,7 @@ def parses(monkeypatch):
         return counted
     wrapped = {name: counting(name, getattr(rational, name))
                for name in ("parse_rational", "parse_extended")}
-    for module in (rational, compact, serialize, moduli, plcore, hurwitz):
+    for module in (rational, compact, serialize, moduli, plcore, hurwitz, cli):
         for name, counted in wrapped.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
@@ -243,6 +243,25 @@ def test_three_compact_gaps_are_each_parsed_once(parses):
     p = serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": ["0", "2", "inf"]})
     assert p.extended_gaps == (0, 2, rational.POS_INF)
     assert parses == {"parse_extended": 3, "parse_rational": 2}
+
+
+@pytest.mark.parametrize("build, parsed", [
+    (lambda: BranchConfiguration(["1", "2", "3"]), 3),
+    # four points, then the three distances between them in __init__
+    (lambda: BranchConfiguration.from_branch_points(["4", "0", "1", "3"]), 4 + 3),
+    # k-1 gaps and the position
+    (lambda: moduli.ModuliPoint(registry_sequence("I"), ["1", "2", "1"], "0"), 3 + 1),
+], ids=["distances", "branch-points", "moduli"])
+def test_a_right_count_parses_each_entry_once(parses, build, parsed):
+    build()
+    assert parses == {"parse_rational": parsed}
+
+
+def test_eval_reads_its_point_once(capsys, monkeypatch, parses):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_MAP)))
+    assert cli.main(["eval", "-", "--at=1/2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": "2"}
+    assert parses["parse_extended"] == 1
 
 
 def test_n_coefficients_are_each_read_once(parses):

@@ -77,16 +77,20 @@ def test_repr_format():
             == "AutGroup(kind='z2', reflection_center=Fraction(1, 2), target_shift=3)")
 
 
-def test_trailing_fields_with_class_values_are_optional():
-    assert AutGroup("trivial") == AutGroup("trivial", None, None)
-    assert AutGroup("z2", 1) == AutGroup("z2", 1, None)
+def test_a_plain_record_takes_its_fields_positionally():
+    assert AutGroup("z2", None, 3).target_shift == 3
+    with pytest.raises(TypeError):   # a keyword call
+        AutGroup("z2", reflection_center=None, target_shift=3)
+    for args in (("trivial",), ("z2", 1)):   # a trailing field left out
+        with pytest.raises(TypeError, match=r"^AutGroup\(\) takes "
+                                            r"\(kind, reflection_center, target_shift\)$"):
+            AutGroup(*args)
 
 
 def test_keyword_construction_equals_positional():
     m = TropicalMap((0, 1), (3, 4, 3), 0)
     assert TropicalMap(break_points=(0, 1), slopes=(3, 4, 3), anchor_value=0) == m
     assert TropicalMap((0, 1), anchor_value=0, slopes=(3, 4, 3)) == m
-    assert AutGroup("z2", target_shift=3) == AutGroup("z2", None, 3)
 
 
 @pytest.mark.parametrize("args, kwargs", [
