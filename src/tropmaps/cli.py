@@ -23,8 +23,11 @@ from .rational import _bounded_echo, _too_large, format_extended, format_rationa
 def _load_json(path):
     if path == "-":
         return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:   # its own text would echo the whole path
+        raise InputError("cannot read %s: %s" % (_bounded_echo(path), exc.strerror)) from None
 
 
 def _print_kv(payload):

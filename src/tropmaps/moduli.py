@@ -128,11 +128,8 @@ def weighted_curve(p: ModuliPoint) -> WeightedTropicalCurve:
 
 
 def curve_automorphisms(c: WeightedTropicalCurve) -> str:
-    """Z/2 when lengths, dilations and vertex weights are all palindromic."""
-    lengths = tuple(l for l, _ in c.bounded_edges)
-    dilations = tuple(d for _, d in c.bounded_edges)
+    """Z/2 when the (length, dilation) edges, vertex weights and leaves are palindromic."""
     weights = tuple(w for _, w in c.finite_vertices)
-    leaves = c.leaf_dilations
-    if all(_is_palindrome(t) for t in (lengths, dilations, weights, leaves)):
+    if all(_is_palindrome(t) for t in (c.bounded_edges, weights, c.leaf_dilations)):
         return Z2
     return TRIVIAL

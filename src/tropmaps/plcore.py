@@ -14,7 +14,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, sub
+from itertools import accumulate
+from operator import itemgetter, mul, sub
 
 from .errors import InputError
 from .rational import POS_INF, _bounded_echo, is_infinite, parse_extended, parse_rational
@@ -111,14 +112,11 @@ def validate(m: TropicalMap) -> ValidationReport:
 
 
 def break_values(m: TropicalMap):
-    """Values of the map at its break points, derived from the anchor."""
-    vals = []
-    v = m.anchor_value
-    for j, x in enumerate(m.break_points):
-        if j > 0:
-            v = v + m.slopes[j] * (x - m.break_points[j - 1])
-        vals.append(v)
-    return vals
+    """Values of the map at its break points, derived from the anchor: a
+    prefix sum of the steps s_j * (x_j - x_{j-1})."""
+    xs = m.break_points
+    steps = map(mul, m.slopes[1:], map(sub, xs[1:], xs))
+    return list(accumulate(steps, initial=m.anchor_value)) if xs else []
 
 
 def evaluate(m: TropicalMap, x):

@@ -107,9 +107,8 @@ def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     if not conv.admissible:
         return SymmetryReport(dead, False, conv.problems, None, None, None)
     point = moduli.moduli_point(conv.map)
+    aut = moduli.automorphisms(point).kind
     gap_condition = None
     if _is_palindrome(point.seq.slopes) and point.seq.k == 4:
-        l1, l3 = point.gaps[0], point.gaps[2]
-        gap_condition = (l1, l3, l1 == l3)
-    return SymmetryReport(dead, True, (), _D3_LABELS[point.seq.slopes],
-                          moduli.automorphisms(point).kind, gap_condition)
+        gap_condition = (point.gaps[0], point.gaps[2], aut == moduli.Z2)
+    return SymmetryReport(dead, True, (), _D3_LABELS[point.seq.slopes], aut, gap_condition)

@@ -8,6 +8,7 @@ exactly ten, labeled I-X.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import sub
 
 from .rational import _bounded_echo
@@ -43,8 +44,8 @@ class SlopeSequence(Record):
     def __init__(self, degree, slopes):
         slopes = tuple(slopes)
         if not all(type(s) is int for s in slopes):
-            for s in slopes:  # int(s) would truncate 4.7, read True as 1, echo "x..." in full
-                if type(s) is not int and (isinstance(s, (bool, float, str)) or s != int(s)):
+            for s in slopes:  # an int but not a bool, or a Fraction equal to one
+                if isinstance(s, bool) or not isinstance(s, (int, Fraction)) or s.denominator != 1:
                     raise ValueError("non-integer slope: " + _bounded_echo(s))
             slopes = tuple(map(int, slopes))
         reasons = _admissibility_reasons(degree, slopes)

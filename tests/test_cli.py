@@ -293,6 +293,23 @@ class TestErrorCodes:
         payload = json.loads(shown)
         assert payload["error"] == error and payload["detail"]
 
+    def test_unreadable_file_echoes_its_path_cut_short(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        path = "missing/" * 37 + "data"   # 300 characters, under no directory
+        code = cli.main(["classify", path, "--json"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err)
+        assert (code, captured.out, payload["error"]) == (2, "", "invalid-input")
+        detail = payload["detail"]
+        assert len(detail) < 200 and detail.startswith("cannot read 'missing/")
+        assert detail.endswith("... (302 characters): No such file or directory")
+
+    def test_non_integer_point_slope_is_invalid_input(self, capsys, monkeypatch):
+        point = {"slopes": [3, [4], 3], "gaps": ["1"], "position": "0"}
+        code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-"), point)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "detail": "non-integer slope: [4]"}
+
     @pytest.mark.parametrize("a", [NINES, NINES + "/7"], ids=["integer", "non-integer"])
     def test_network_past_the_digit_limit(self, capsys, monkeypatch, a):
         net = {"base_slope": "0", "base_bias": "0", "units": [{"w": NINES, "b": "0", "a": a}]}

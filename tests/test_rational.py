@@ -47,6 +47,19 @@ class TestParseRational:
         with pytest.raises(ValueError, match=r"not a rational: '1\.5'$"):
             parse_rational("1.5")
 
+    @pytest.mark.parametrize("text", ["1_000", "\u0661\u0662", "1 / 2", "1/ 2", "+-1", "1/-2",
+                                      "0x10", "1.0", "1e3", "/2", "2/", "", "1/0"])
+    def test_rejected_strings(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == "not a rational: " + repr(text)
+
+    @pytest.mark.parametrize("text, x", [(" -3/6 ", Fraction(-1, 2)), ("+7", 7),
+                                         ("00012/0004", 3), ("-0", 0),
+                                         ("\xa01/2\xa0", Fraction(1, 2))])
+    def test_accepted_strings(self, text, x):
+        assert parse_rational(text) == x
+
 
 class TestParseExtended:
     def test_the_float_infinities_are_returned_as_they_are(self):

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from tropmaps import (ReLUNetwork, TropicalMap, evaluate, maps_equal,
                       map_to_network, network_to_map, registry_d3,
-                      symmetry_report)
-from tropmaps.moduli import ModuliPoint, representative_map
+                      registry_sequence, symmetry_report)
+from tropmaps.moduli import ModuliPoint, automorphisms, representative_map
 from conftest import random_fraction
 
 EXAMPLE_UNITS = ((1, 0, 1), (1, -1, 1), (1, -3, -1), (1, -4, -1))
@@ -35,6 +35,19 @@ def networks(draw):
             units.append((w2, -theta * w2, Fraction(-a * abs(w), abs(w2))))
     units = draw(st.permutations(units))
     return ReLUNetwork(draw(SMALL), draw(SMALL), tuple(units))
+
+
+GAPS = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def palindromic_points(draw):
+    """Points of the palindromic four-break types I, II, IV and V whose
+    last gap repeats the first one half of the time."""
+    l1, l2 = draw(GAPS), draw(GAPS)
+    l3 = l1 if draw(st.booleans()) else draw(GAPS)
+    seq = registry_sequence(draw(st.sampled_from(["I", "II", "IV", "V"])))
+    return ModuliPoint(seq, (l1, l2, l3), draw(st.fractions(max_denominator=4)))
 
 
 class TestNetworkToMap:
@@ -126,6 +139,13 @@ class TestSymmetryReport:
         assert r.admissible and r.type_label == "I" and r.aut == "z2"
         l1, l3, equal = r.gap_condition
         assert (l1, l3, equal) == (1, 1, True)
+
+    @given(p=palindromic_points())
+    def test_gap_condition_is_the_z2_verdict(self, p):
+        l1, _, l3 = p.gaps
+        r = symmetry_report(map_to_network(representative_map(p)))
+        assert r.gap_condition == (l1, l3, automorphisms(p).kind == "z2")
+        assert r.gap_condition[2] == (l1 == l3)
 
     def test_broken_symmetry(self):
         units = ((1, 0, 1), (1, -1, 1), (1, -3, -1), (1, -6, -1))

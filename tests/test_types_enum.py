@@ -1,4 +1,5 @@
 import gc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 
 from tropmaps import (SlopeSequence, canonical_type, enumerate_types,
                       registry_d3, registry_sequence)
+from tropmaps.rational import _bounded_echo
 from tropmaps.types_enum import _D3_LABELS, _admissibility_reasons
 
 THEOREM_SEQUENCES = {
@@ -217,6 +219,14 @@ class TestSlopeSequence:
         with pytest.raises(ValueError) as err:
             SlopeSequence(3, (3, slope, 3))
         assert str(err.value) == "non-integer slope: " + echo
+
+    @pytest.mark.parametrize("slope", [[4], None, {}, 1 + 0j, Decimal(5)],
+                             ids=["list", "none", "dict", "complex", "decimal"])
+    def test_only_ints_and_integral_fractions_are_slopes(self, slope):
+        with pytest.raises(ValueError) as err:
+            SlopeSequence(3, (3, slope, 3))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "non-integer slope: " + _bounded_echo(slope)
 
     def test_non_integer_slope_is_echoed_as_a_rational(self):
         with pytest.raises(ValueError, match="^non-integer slope: 7/2$"):
