@@ -88,9 +88,8 @@ def automorphisms(p: ModuliPoint) -> AutGroup:
     """
     if not (_is_palindrome(p.seq.slopes) and _is_palindrome(p.gaps)):
         return AutGroup(TRIVIAL, None, None)
-    xs = p.break_points()
     shift = sum(s * l for s, l in zip(p.seq.slopes[1:-1], p.gaps))
-    return AutGroup(Z2, (xs[0] + xs[-1]) / 2, shift)
+    return AutGroup(Z2, p.position + sum(p.gaps) / 2, shift)
 
 
 def stratum(p: ModuliPoint) -> StratumDescriptor:

@@ -18,7 +18,8 @@ from itertools import accumulate
 from operator import itemgetter, mul, sub
 
 from .errors import InputError
-from .rational import POS_INF, _bounded_echo, is_infinite, parse_extended, parse_rational
+from .rational import (POS_INF, _bounded_echo, is_infinite, parse_exactly,
+                       parse_extended, parse_rational)
 from .record import Record
 from .types_enum import _admissibility_reasons
 
@@ -41,8 +42,10 @@ class TropicalMap(Record):
     anchor_value: Fraction
 
     def __init__(self, break_points, slopes, anchor_value):
-        super().__init__(tuple(parse_rational(x) for x in break_points),
-                         tuple(_parse_slope(s) for s in slopes),
+        breaks = tuple(break_points)
+        slopes = parse_exactly(slopes, len(breaks) + 1,
+                               "slope count must be break count + 1", _parse_slope)
+        super().__init__(tuple(map(parse_rational, breaks)), slopes,
                          parse_rational(anchor_value))
 
     @property
@@ -97,8 +100,6 @@ class AdmissibilityReport(Record):
 def validate(m: TropicalMap) -> ValidationReport:
     """Report every structural defect of a map; never raises."""
     problems = []
-    if len(m.slopes) != len(m.break_points) + 1:
-        problems.append("slope count must be break count + 1")
     for s in m.slopes:
         if not isinstance(s, int):
             problems.append("non-integer slope: " + _bounded_echo(s))

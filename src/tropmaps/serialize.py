@@ -1,10 +1,10 @@
 """JSON interchange schemas for maps, moduli points, networks and results.
 
-Rationals travel as lowest-terms strings ("p/q" or a plain integer),
-slopes as JSON integers; a map's slope may also be a rational string, the
-form a map converted from a network writes.  Encoders build their dicts
-in a fixed key order, so output is byte-stable.  Decoders check the JSON
-shape; the constructors check the values.  Either failure is InputError.
+Rationals travel as lowest-terms strings ("p/q" or an integer), slopes as
+JSON integers or, in a map converted from a network, as rational strings.
+Encoders fix their key order, so output is byte-stable.  Decoders check
+the JSON shape and constructors the values: a failure is InputError, but
+for the DomainError not-a-maximal-type of a compactified point with k != 4.
 """
 
 from __future__ import annotations

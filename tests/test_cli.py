@@ -284,6 +284,9 @@ class TestErrorCodes:
          {"breaks": [], "slopes": [int("7" * 3000)], "anchor": "0"}),
         ("not-a-maximal-type", 1, "out", ("classify-compact", "-"),
          {"slopes": [3, 5, 3], "gaps": ["1"]}),
+        # a slope list not one longer than the break list is malformed input
+        ("invalid-input", 2, "err", ("classify", "-"),
+         {"breaks": ["0"], "slopes": [3], "anchor": "0"}),
     ])
     def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
                                   stream, argv, stdin):

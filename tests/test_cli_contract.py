@@ -6,16 +6,14 @@ argument value of the three that read no file, ends in exit 0, 1 or 2
 with exactly one short JSON value on the stream its exit code names.
 """
 
-import contextlib
-import io
 import json
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropmaps import cli, registry_d3
+from tropmaps import registry_d3
+from conftest import call
 
 MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
 POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"], "position": "0"}
@@ -24,15 +22,6 @@ NET = {"base_slope": "3", "base_bias": "0",
                  {"w": "1", "b": "-3", "a": "-1"}, {"w": "1", "b": "-4", "a": "-1"}]}
 HALF_SLOPE_NET = {"base_slope": "1/2", "base_bias": "0",
                   "units": [{"w": "1", "b": "-1", "a": "1"}]}
-
-
-def call(argv, stdin):
-    """(exit code, stdout, stderr) of one in-process `cli.main` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def written(argv, obj):

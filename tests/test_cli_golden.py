@@ -9,19 +9,14 @@ After a change that means to alter some outputs, regenerate the file with
 and read its diff: it names exactly the calls whose output changed.
 """
 
-import contextlib
-import io
 import json
-import os
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from tropmaps import cli
+from conftest import call
 
 CORPUS = Path(__file__).with_name("cli_golden.jsonl")
-COLUMNS = "80"  # argparse wraps its usage lines to the terminal width
 
 MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
 INADMISSIBLE_MAP = {"breaks": ["0"], "slopes": [3, 2], "anchor": "1/2"}
@@ -173,19 +168,6 @@ CALLS = [
     *_json(["strata", "--type", "XI"]),
     *_json(["strata", "--type=" + "Z" * 5000]),
 ]
-
-
-def call(argv, stdin):
-    """(exit code, stdout, stderr) of one in-process cli.main call."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
-            mock.patch("sys.stdin", io.StringIO(stdin or "")), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:   # argparse rejects the arguments
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def record(argv, stdin):

@@ -3,7 +3,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropmaps import (TropicalMap, TropicalPolynomial, apply_source_automorphism,
                       apply_target_automorphism, evaluate,
@@ -101,6 +101,22 @@ class TestEvaluate:
             for y in (last, last + abs(c)):
                 assert evaluate(m, y) == net.evaluate(y)
 
+    @given(breaks=st.lists(RATIONALS, max_size=7),
+           slopes=st.lists(st.integers(-5, 5), max_size=7))
+    @example(breaks=[0, 1, 2], slopes=[3, 4])
+    def test_a_map_is_built_well_counted_or_not_at_all(self, breaks, slopes):
+        # breaks in any order and slopes of any count: a miscounted map is
+        # refused on construction, and any map that is built evaluates
+        try:
+            m = TropicalMap(breaks, slopes, 0)
+        except ValueError as exc:
+            assert str(exc) == "slope count must be break count + 1"
+            assert len(slopes) != len(breaks) + 1
+            return
+        mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+        for x in (math.inf, NEG_INF, *breaks, *mids):
+            evaluate(m, x)
+
 
 class TestBreakValueCache:
     @staticmethod
@@ -152,7 +168,10 @@ class TestValidate:
         assert not r.ok and any("jump" in p for p in r.problems)
 
     def test_length_mismatch(self):
-        assert not validate(TropicalMap((0,), (3,), 0)).ok
+        # a miscounted map is refused on construction, so validate never sees one
+        with pytest.raises(ValueError) as info:
+            TropicalMap((0,), (3,), 0)
+        assert str(info.value) == "slope count must be break count + 1"
 
     def test_non_integer_slope(self):
         r = validate(TropicalMap((0,), (3, Fraction(7, 2)), 0))
