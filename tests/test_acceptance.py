@@ -12,14 +12,14 @@ from fractions import Fraction
 
 from tropmaps import (BranchConfiguration, InvalidDegeneration, ModuliPoint,
                       TropicalMap, TropicalPolynomial, automorphisms,
-                      branch_configuration, canonical_type, cli,
+                      branch_configuration, canonical_type,
                       degenerate, enumerate_types, evaluate,
                       face_lattice, fiber, hurwitz_number, maps_equal,
                       map_to_network, moduli_point, network_to_map,
-                      registry_d3, registry_sequence, representative_map,
+                      registry_d3, representative_map,
                       tropical_polynomial_evaluate, tropicalize_rational)
 from tropmaps.plcore import break_values
-from conftest import example_formula, random_fraction
+from conftest import call, example_formula, random_fraction
 from test_types_enum import THEOREM_SEQUENCES, oracle_types
 
 NEG_INF = float("-inf")
@@ -35,11 +35,11 @@ def criterion(num, desc):
     print("\n[acceptance] criterion %2d (%s): PASS" % (num, desc))
 
 
-def test_criterion_01_enumeration(capsys):
+def test_criterion_01_enumeration():
     with criterion(1, "ten degree-3 types"):
         start = time.monotonic()
-        code = cli.main(["types", "--degree", "3", "--json"])
-        rows = json.loads(capsys.readouterr().out)
+        code, out, _ = call(["types", "--degree", "3", "--json"])
+        rows = json.loads(out)
         elapsed = time.monotonic() - start
         assert code == 0
         assert len(rows) == 10

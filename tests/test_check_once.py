@@ -1,42 +1,15 @@
 """Paths that receive an already checked value do not check or build it again."""
 
-import io
 import json
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tropmaps import (BranchConfiguration, cli, compact, face_lattice, fiber, hurwitz, moduli,
+from tropmaps import (BranchConfiguration, compact, face_lattice, fiber, hurwitz, moduli,
                       moduli_point, plcore, rational, registry_sequence, serialize, types_enum)
 from tropmaps.errors import InputError
-
-
-@pytest.fixture
-def constructions(monkeypatch):
-    """The slopes of every SlopeSequence built while the test runs."""
-    built = []
-    check = types_enum.SlopeSequence.__init__
-
-    def counted(self, degree, slopes):
-        built.append(slopes)
-        check(self, degree, slopes)
-    monkeypatch.setattr(types_enum.SlopeSequence, "__init__", counted)
-    return built
-
-
-@pytest.fixture
-def points(monkeypatch):
-    """The gaps of every CompactifiedPoint built while the test runs."""
-    built = []
-    check = compact.CompactifiedPoint.__init__
-
-    def counted(self, seq, extended_gaps):
-        built.append(extended_gaps)
-        check(self, seq, extended_gaps)
-    monkeypatch.setattr(compact.CompactifiedPoint, "__init__", counted)
-    return built
+from conftest import README_MAP, README_NET, README_POINT, call
 
 
 @pytest.fixture
@@ -49,7 +22,9 @@ def jump_reads(monkeypatch):
     return read
 
 
-def test_face_lattice_builds_no_slope_sequence(constructions, points, jump_reads):
+def test_face_lattice_builds_no_slope_sequence(spy, jump_reads):
+    constructions = spy(types_enum.SlopeSequence, "__init__")
+    points = spy(compact.CompactifiedPoint, "__init__")
     for label in ("I", "II", "III", "IV", "V"):
         seq = registry_sequence(label)
         del constructions[:], points[:], jump_reads[:]
@@ -57,13 +32,15 @@ def test_face_lattice_builds_no_slope_sequence(constructions, points, jump_reads
         assert constructions == [] and len(points) <= 1 and len(jump_reads) <= 1
 
 
-def test_strata_command_builds_at_most_one_point(capsys, points):
-    assert cli.main(["strata", "--type", "I", "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["strata"]) == 27
+def test_strata_command_builds_at_most_one_point(spy):
+    points = spy(compact.CompactifiedPoint, "__init__")
+    code, out, _ = call(["strata", "--type", "I", "--json"])
+    assert code == 0 and len(json.loads(out)["strata"]) == 27
     assert len(points) <= 1
 
 
-def test_fiber_builds_no_slope_sequence(constructions):
+def test_fiber_builds_no_slope_sequence(spy):
+    constructions = spy(types_enum.SlopeSequence, "__init__")
     b = BranchConfiguration((4, 10, 4))
     assert len(fiber(b)) == 6
     assert constructions == []
@@ -71,49 +48,33 @@ def test_fiber_builds_no_slope_sequence(constructions):
 
 @pytest.mark.parametrize("argv", [["types", "--degree", "3", "--json"],
                                   ["strata", "--type", "I", "--json"]])
-def test_degree3_table_commands_build_no_slope_sequence(capsys, constructions, argv):
-    assert cli.main(argv) == 0
-    capsys.readouterr()
+def test_degree3_table_commands_build_no_slope_sequence(spy, argv):
+    constructions = spy(types_enum.SlopeSequence, "__init__")
+    assert call(argv)[0] == 0
     assert constructions == []
 
 
-def test_hurwitz_command_solves_the_fiber_once(capsys, monkeypatch):
-    calls = []
-    solve = hurwitz.fiber
-    monkeypatch.setattr(hurwitz, "fiber", lambda b: calls.append(b) or solve(b))
-    assert cli.main(["hurwitz", "--distances", "4,10,4", "--json"]) == 0
-    capsys.readouterr()
+def test_hurwitz_command_solves_the_fiber_once(spy):
+    calls = spy(hurwitz, "fiber")
+    assert call(["hurwitz", "--distances", "4,10,4", "--json"])[0] == 0
     assert len(calls) == 1
 
 
-README_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
+def classify_readme_map():
+    code, out, _ = call(["classify", "-", "--json"], README_MAP)
+    assert code == 0 and json.loads(out)["type"] == "I"
 
 
-def classify_readme_map(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_MAP)))
-    assert cli.main(["classify", "-", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["type"] == "I"
-
-
-def test_classify_validates_once(capsys, monkeypatch):
-    calls = []
-    check = plcore.validate
-    monkeypatch.setattr(plcore, "validate", lambda m: calls.append(m) or check(m))
-    classify_readme_map(capsys, monkeypatch)
+def test_classify_validates_once(spy):
+    calls = spy(plcore, "validate")
+    classify_readme_map()
     assert len(calls) == 1
 
 
-def test_classify_checks_admissibility_once(capsys, monkeypatch):
-    calls = []
-    check = types_enum._admissibility_reasons
-
-    def counted(degree, slopes):
-        calls.append(slopes)
-        return check(degree, slopes)
-    for module in (types_enum, plcore):
-        monkeypatch.setattr(module, "_admissibility_reasons", counted)
-    classify_readme_map(capsys, monkeypatch)
-    assert calls == [(3, 4, 5, 4, 3)]
+def test_classify_checks_admissibility_once(spy):
+    calls = spy(types_enum, "_admissibility_reasons")
+    classify_readme_map()
+    assert calls == [(3, (3, 4, 5, 4, 3))]
 
 
 # The canonical network of the type-III map with breaks 0, 1, 2, 3.
@@ -122,105 +83,46 @@ TYPE_III_NET = {"base_slope": "3", "base_bias": "0",
                           for x, a in enumerate((1, -1, -1, 1))]}
 
 
-def test_symmetry_builds_one_slope_sequence(capsys, monkeypatch, constructions):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_III_NET)))
-    assert cli.main(["symmetry", "-", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["type"] == "III" and payload["gap_condition"] is None
-    assert constructions == [(3, 4, 3, 2, 3)]
+def test_symmetry_builds_one_slope_sequence(spy):
+    constructions = spy(types_enum.SlopeSequence, "__init__")
+    code, out, _ = call(["symmetry", "-", "--json"], TYPE_III_NET)
+    payload = json.loads(out)
+    assert code == 0 and payload["type"] == "III" and payload["gap_condition"] is None
+    assert [args[1:] for args in constructions] == [(3, (3, 4, 3, 2, 3))]
 
 
-@pytest.fixture
-def checks(monkeypatch):
-    """How often validate and _admissibility_reasons run while the test runs."""
-    counts = Counter()
-    validate, reasons = plcore.validate, types_enum._admissibility_reasons
-
-    def counted_validate(m):
-        counts["validate"] += 1
-        return validate(m)
-
-    def counted_reasons(degree, slopes):
-        counts["reasons"] += 1
-        return reasons(degree, slopes)
-    monkeypatch.setattr(plcore, "validate", counted_validate)
-    for module in (types_enum, plcore):
-        monkeypatch.setattr(module, "_admissibility_reasons", counted_reasons)
-    return counts
-
-
-def test_moduli_point_leaves_admissibility_to_the_constructors(checks):
+def test_moduli_point_leaves_admissibility_to_the_constructors(spy):
+    validated, reasoned = spy(plcore, "validate"), spy(types_enum, "_admissibility_reasons")
     p = moduli_point(serialize.map_from_json(README_MAP))
     assert p.seq.slopes == (3, 4, 5, 4, 3)
-    assert (checks["validate"], checks["reasons"]) == (0, 1)
+    assert (len(validated), len(reasoned)) == (0, 1)
 
 
-def test_symmetry_checks_the_converted_map_once(capsys, monkeypatch, checks):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_III_NET)))
-    assert cli.main(["symmetry", "-", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["type"] == "III"
+def test_symmetry_checks_the_converted_map_once(spy):
+    validated, reasoned = spy(plcore, "validate"), spy(types_enum, "_admissibility_reasons")
+    code, out, _ = call(["symmetry", "-", "--json"], TYPE_III_NET)
+    assert code == 0 and json.loads(out)["type"] == "III"
     # network_to_map's admissibility report, then moduli_point's SlopeSequence
-    assert (checks["validate"], checks["reasons"]) == (1, 2)
-
-
-@pytest.fixture
-def maps(monkeypatch):
-    """The break points of every TropicalMap built while the test runs."""
-    built = []
-    check = plcore.TropicalMap.__init__
-
-    def counted(self, break_points, slopes, anchor_value):
-        built.append(break_points)
-        check(self, break_points, slopes, anchor_value)
-    monkeypatch.setattr(plcore.TropicalMap, "__init__", counted)
-    return built
-
-
-README_POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"], "position": "0"}
+    assert (len(validated), len(reasoned)) == (1, 2)
 
 
 @pytest.mark.parametrize("command, shown", [("aut", '"kind": "z2"'),
                                             ("stratum", '"aut": "z2"'),
                                             ("curve", '"vertices"')])
-def test_point_commands_build_no_map(capsys, monkeypatch, maps, command, shown):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_POINT)))
-    assert cli.main([command, "-", "--json"]) == 0
-    assert shown in capsys.readouterr().out
+def test_point_commands_build_no_map(spy, command, shown):
+    maps = spy(plcore.TropicalMap, "__init__")
+    code, out, _ = call([command, "-", "--json"], README_POINT)
+    assert code == 0 and shown in out
     assert maps == []
 
 
-# The canonical network of the README map: type I, gaps (1, 2, 1).
-TYPE_I_NET = {"base_slope": "3", "base_bias": "0",
-              "units": [{"w": "1", "b": str(-x), "a": str(a)}
-                        for x, a in ((0, 1), (1, 1), (3, -1), (4, -1))]}
-
-
-def test_symmetry_builds_only_the_converted_map(capsys, monkeypatch, maps):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TYPE_I_NET)))
-    assert cli.main(["symmetry", "-", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["aut"] == "z2"
+def test_symmetry_builds_only_the_converted_map(spy):
+    maps = spy(plcore.TropicalMap, "__init__")
+    code, out, _ = call(["symmetry", "-", "--json"], README_NET)
+    payload = json.loads(out)
+    assert code == 0 and payload["aut"] == "z2"
     assert payload["gap_condition"] == {"l1": "1", "l3": "1", "equal": True}
     assert len(maps) == 1
-
-
-@pytest.fixture
-def parses(monkeypatch):
-    """How often parse_rational and parse_extended run while the test runs."""
-    counts = Counter()
-
-    def counting(name, parse):
-        def counted(value):
-            counts[name] += 1
-            return parse(value)
-        return counted
-    wrapped = {name: counting(name, getattr(rational, name))
-               for name in ("parse_rational", "parse_extended")}
-    for module in (rational, compact, serialize, moduli, plcore, hurwitz, cli):
-        for name, counted in wrapped.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    return counts
 
 
 MANY_GAPS = ["1"] * 100000
@@ -233,16 +135,18 @@ MANY_GAPS = ["1"] * 100000
     (serialize.point_from_json, {"slopes": [3, 4, 5, 4, 3], "gaps": MANY_GAPS, "position": "0"},
      "need k-1 gap lengths", 1),
 ], ids=["compact", "moduli"])
-def test_a_wrong_gap_count_parses_no_gap(parses, decode, obj, message, parsed):
+def test_a_wrong_gap_count_parses_no_gap(spy, decode, obj, message, parsed):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
     with pytest.raises(InputError, match=message):
         decode(obj)
-    assert sum(parses.values()) == parsed
+    assert len(rationals) + len(extendeds) == parsed
 
 
-def test_three_compact_gaps_are_each_parsed_once(parses):
+def test_three_compact_gaps_are_each_parsed_once(spy):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
     p = serialize.compact_point_from_json({"slopes": [3, 4, 5, 4, 3], "gaps": ["0", "2", "inf"]})
     assert p.extended_gaps == (0, 2, rational.POS_INF)
-    assert parses == {"parse_extended": 3, "parse_rational": 2}
+    assert (len(extendeds), len(rationals)) == (3, 2)
 
 
 @pytest.mark.parametrize("build, parsed", [
@@ -252,23 +156,24 @@ def test_three_compact_gaps_are_each_parsed_once(parses):
     # k-1 gaps and the position
     (lambda: moduli.ModuliPoint(registry_sequence("I"), ["1", "2", "1"], "0"), 3 + 1),
 ], ids=["distances", "branch-points", "moduli"])
-def test_a_right_count_parses_each_entry_once(parses, build, parsed):
+def test_a_right_count_parses_each_entry_once(spy, build, parsed):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
     build()
-    assert parses == {"parse_rational": parsed}
+    assert (len(extendeds), len(rationals)) == (0, parsed)
 
 
-def test_eval_reads_its_point_once(capsys, monkeypatch, parses):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(README_MAP)))
-    assert cli.main(["eval", "-", "--at=1/2", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"value": "2"}
-    assert parses["parse_extended"] == 1
+def test_eval_reads_its_point_once(spy):
+    extendeds = spy(rational, "parse_extended")
+    assert call(["eval", "-", "--at=1/2", "--json"], README_MAP) == (0, '{"value": "2"}\n', "")
+    assert len(extendeds) == 1
 
 
-def test_n_coefficients_are_each_read_once(parses):
+def test_n_coefficients_are_each_read_once(spy):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
     p = serialize.polynomial_from_json(["0", "-inf", "1/2", "-inf", "3"])
     assert p.coefficients == (0, rational.NEG_INF, Fraction(1, 2), rational.NEG_INF, 3)
     # each finite coefficient is parsed by parse_extended's own parse_rational call
-    assert parses == {"parse_extended": 5, "parse_rational": 3}
+    assert (len(extendeds), len(rationals)) == (5, 3)
 
 
 def test_a_python_caller_may_pass_inf_but_json_may_not():
@@ -298,15 +203,17 @@ MANY_ENTRIES = ["1"] * 60000
     (lambda: BranchConfiguration.from_branch_points(MANY_ENTRIES),
      "need exactly four branch points"),
 ], ids=["distances", "branch-points"])
-def test_a_wrong_branch_count_parses_no_entry(parses, build, message):
+def test_a_wrong_branch_count_parses_no_entry(spy, build, message):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
     with pytest.raises(ValueError, match=message):
         build()
-    assert sum(parses.values()) == 0
+    assert extendeds == rationals == []
 
 
 @pytest.mark.parametrize("option, message", [("--distances", "need exactly three distances"),
                                              ("--branch", "need exactly four branch points")])
-def test_the_hurwitz_command_counts_before_it_parses(capsys, parses, option, message):
-    assert cli.main(["hurwitz", option, ",".join(MANY_ENTRIES), "--json"]) == 2
-    assert json.loads(capsys.readouterr().err)["detail"] == message
-    assert sum(parses.values()) == 0
+def test_the_hurwitz_command_counts_before_it_parses(spy, option, message):
+    rationals, extendeds = spy(rational, "parse_rational"), spy(rational, "parse_extended")
+    code, _, err = call(["hurwitz", option, ",".join(MANY_ENTRIES), "--json"])
+    assert code == 2 and json.loads(err)["detail"] == message
+    assert extendeds == rationals == []

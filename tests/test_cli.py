@@ -1,37 +1,14 @@
-import io
 import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from tropmaps import TropicalMap, cli, moduli, moduli_point
+from tropmaps import TropicalMap, cli, moduli, moduli_point, types_enum
+from conftest import README_MAP, README_NET, README_POINT, call, python
 
-EXAMPLE_MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3],
-               "anchor": "0"}
-EXAMPLE_POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"],
-                 "position": "0"}
 LONG_UNIT = {"w": "1", "b": "0", "a": "1/1" + "0" * 3999}
-EXAMPLE_NET = {"base_slope": "3", "base_bias": "0",
-               "units": [{"w": "1", "b": "0", "a": "1"},
-                         {"w": "1", "b": "-1", "a": "1"},
-                         {"w": "1", "b": "-3", "a": "-1"},
-                         {"w": "1", "b": "-4", "a": "-1"}]}
 NINES = "9" * 4000  # one unit of w = a = NINES gives an 8,000-digit slope
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def run_json(capsys, *argv):
-    code, out = run(capsys, *argv, "--json")
-    return code, json.loads(out)
 
 
 def write(tmp_path, name, obj):
@@ -41,168 +18,181 @@ def write(tmp_path, name, obj):
 
 
 class TestTypes:
-    def test_degree3_table(self, capsys):
-        code, out = run(capsys, "types", "--degree", "3")
+    def test_degree3_table(self):
+        code, out, _ = call(["types", "--degree", "3"])
         assert code == 0
         assert out.count("\n") == 10 and "(3, 4, 5, 4, 3)" in out
 
-    def test_degree3_json(self, capsys):
-        code, rows = run_json(capsys, "types", "--degree", "3")
+    def test_degree3_json(self):
+        code, out, _ = call(["types", "--degree", "3", "--json"])
+        rows = json.loads(out)
         assert code == 0 and len(rows) == 10
         assert rows[0] == {"label": "I", "slopes": [3, 4, 5, 4, 3],
                            "palindromic": True, "k": 4}
         assert [r["k"] for r in rows].count(4) == 5
 
-    def test_other_degree(self, capsys):
-        code, rows = run_json(capsys, "types", "--degree", "2")
-        assert code == 0 and len(rows) == 2
+    def test_other_degree(self):
+        code, out, _ = call(["types", "--degree", "2", "--json"])
+        assert code == 0 and len(json.loads(out)) == 2
+
+    def test_largest_degree_is_listed(self, monkeypatch):
+        # listing degree 8 takes seconds: the bound is what is tested here
+        asked = []
+        monkeypatch.setattr(types_enum, "enumerate_types", lambda *args: asked.append(args) or [])
+        assert call(["types", "--degree", "8", "--json"]) == (0, "[]\n", "")
+        assert asked == [(8, None)]
 
     @pytest.mark.parametrize("cap, labels", [
         ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("-1", "")])
-    def test_degree3_cap_filters_the_registry(self, capsys, cap, labels):
-        _, full = run(capsys, "types", "--degree", "3", "--json")
-        code, out = run(capsys, "types", "--degree", "3", "--max-breaks=" + cap, "--json")
+    def test_degree3_cap_filters_the_registry(self, cap, labels):
+        _, full, _ = call(["types", "--degree", "3", "--json"])
+        code, out, _ = call(["types", "--degree", "3", "--max-breaks=" + cap, "--json"])
         assert code == 0 and [r["label"] for r in json.loads(out)] == labels.split()
         assert json.loads(out) == [r for r in json.loads(full) if r["k"] <= int(cap)]
         assert (out == full) == (cap == "4")
 
-    def test_deterministic_output(self, capsys):
-        _, a = run(capsys, "types", "--degree", "4", "--json")
-        _, b = run(capsys, "types", "--degree", "4", "--json")
-        assert a == b
+    def test_deterministic_output(self):
+        argv = ["types", "--degree", "4", "--json"]
+        assert call(argv) == call(argv)
 
 
 class TestEval:
-    def test_example(self, capsys, tmp_path):
-        path = write(tmp_path, "m.json", EXAMPLE_MAP)
-        code, out = run(capsys, "eval", path, "--at", "2")
+    def test_example(self, tmp_path):
+        path = write(tmp_path, "m.json", README_MAP)
+        code, out, _ = call(["eval", path, "--at", "2"])
         assert code == 0 and out.strip() == "9"
 
-    def test_rational_point(self, capsys, tmp_path):
-        path = write(tmp_path, "m.json", EXAMPLE_MAP)
-        code, payload = run_json(capsys, "eval", path, "--at", "1/2")
-        assert code == 0 and payload == {"value": "2"}
+    def test_rational_point(self, tmp_path):
+        path = write(tmp_path, "m.json", README_MAP)
+        code, out, _ = call(["eval", path, "--at", "1/2", "--json"])
+        assert code == 0 and json.loads(out) == {"value": "2"}
 
-    def test_infinity(self, capsys, tmp_path):
-        path = write(tmp_path, "m.json", EXAMPLE_MAP)
-        code, payload = run_json(capsys, "eval", path, "--at", "inf")
-        assert code == 0 and payload == {"value": "inf"}
+    def test_infinity(self, tmp_path):
+        path = write(tmp_path, "m.json", README_MAP)
+        code, out, _ = call(["eval", path, "--at", "inf", "--json"])
+        assert code == 0 and json.loads(out) == {"value": "inf"}
 
-    def test_stdin(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EXAMPLE_MAP)))
-        code, out = run(capsys, "eval", "-", "--at", "5")
+    def test_stdin(self):
+        code, out, _ = call(["eval", "-", "--at", "5"], README_MAP)
         assert code == 0 and out.strip() == "21"
 
 
 class TestClassify:
-    def test_valid_map(self, capsys, tmp_path):
-        path = write(tmp_path, "m.json", EXAMPLE_MAP)
-        code, payload = run_json(capsys, "classify", path)
+    def test_valid_map(self, tmp_path):
+        path = write(tmp_path, "m.json", README_MAP)
+        code, out, _ = call(["classify", path, "--json"])
+        payload = json.loads(out)
         assert code == 0
         assert payload["valid"] and payload["admissible"]
         assert payload["type"] == "I"
 
-    def test_malformed_json(self, capsys, tmp_path):
+    def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        assert cli.main(["classify", str(path)]) == 2
+        assert call(["classify", str(path)])[0] == 2
 
-    def test_missing_field(self, capsys, tmp_path):
+    def test_missing_field(self, tmp_path):
         path = write(tmp_path, "m.json", {"breaks": []})
-        assert cli.main(["classify", path]) == 2
+        assert call(["classify", path])[0] == 2
 
 
 class TestModuliCommands:
-    def test_aut(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", EXAMPLE_POINT)
-        code, payload = run_json(capsys, "aut", path)
+    def test_aut(self, tmp_path):
+        path = write(tmp_path, "p.json", README_POINT)
+        code, out, _ = call(["aut", path, "--json"])
         assert code == 0
-        assert payload == {"kind": "z2", "reflection_center": "2",
-                           "target_shift": "18"}
+        assert json.loads(out) == {"kind": "z2", "reflection_center": "2",
+                                   "target_shift": "18"}
 
-    def test_stratum(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", EXAMPLE_POINT)
-        code, payload = run_json(capsys, "stratum", path)
-        assert payload == {"aut": "z2", "cell_dimension": 4,
-                           "symmetric_locus": True, "label": "symmetric"}
+    def test_stratum(self, tmp_path):
+        path = write(tmp_path, "p.json", README_POINT)
+        _, out, _ = call(["stratum", path, "--json"])
+        assert json.loads(out) == {"aut": "z2", "cell_dimension": 4,
+                                   "symmetric_locus": True, "label": "symmetric"}
 
-    def test_degenerate_valid(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", EXAMPLE_POINT)
-        code, payload = run_json(capsys, "degenerate", path, "--merge", "1")
+    def test_degenerate_valid(self, tmp_path):
+        path = write(tmp_path, "p.json", README_POINT)
+        code, out, _ = call(["degenerate", path, "--merge", "1", "--json"])
         assert code == 0
-        assert payload == {"slopes": [3, 5, 4, 3], "gaps": ["2", "1"],
-                           "position": "0"}
+        assert json.loads(out) == {"slopes": [3, 5, 4, 3], "gaps": ["2", "1"],
+                                   "position": "0"}
 
-    def test_degenerate_invalid_exit_code(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", EXAMPLE_POINT)
-        code, payload = run_json(capsys, "degenerate", path, "--merge", "2")
-        assert code == 1 and payload["error"] == "invalid-degeneration"
+    def test_degenerate_invalid_exit_code(self, tmp_path):
+        path = write(tmp_path, "p.json", README_POINT)
+        code, out, _ = call(["degenerate", path, "--merge", "2", "--json"])
+        assert code == 1 and json.loads(out)["error"] == "invalid-degeneration"
 
-    def test_curve(self, capsys, tmp_path):
-        path = write(tmp_path, "p.json", EXAMPLE_POINT)
-        code, payload = run_json(capsys, "curve", path)
+    def test_curve(self, tmp_path):
+        path = write(tmp_path, "p.json", README_POINT)
+        _, out, _ = call(["curve", path, "--json"])
+        payload = json.loads(out)
         assert payload["leaf_dilations"] == [3, 3]
         assert [v["weight"] for v in payload["vertices"]] == [1, 1, 1, 1]
         assert payload["edges"][1] == {"length": "2", "dilation": 5}
 
 
 class TestHurwitz:
-    def test_distances(self, capsys):
-        code, payload = run_json(capsys, "hurwitz", "--distances", "4,10,4")
+    def test_distances(self):
+        code, out, _ = call(["hurwitz", "--distances", "4,10,4", "--json"])
+        payload = json.loads(out)
         assert code == 0
         assert payload["geometric_count"] == 6
         assert payload["weighted_count"] == 9
         assert len(payload["elements"]) == 6
 
-    def test_branch_points(self, capsys):
-        code, payload = run_json(capsys, "hurwitz", "--branch", "0,4,14,18")
+    def test_branch_points(self):
+        _, out, _ = call(["hurwitz", "--branch", "0,4,14,18", "--json"])
+        payload = json.loads(out)
         assert payload["weighted_count"] == 9
         gaps = {tuple(e["gaps"]) for e in payload["elements"]}
         assert ("1", "2", "1") in gaps
 
-    def test_non_generic(self, capsys):
-        code, payload = run_json(capsys, "hurwitz", "--distances", "1,0,1")
-        assert code == 1 and payload["error"] == "non-generic-configuration"
+    def test_non_generic(self):
+        code, out, _ = call(["hurwitz", "--distances", "1,0,1", "--json"])
+        assert code == 1 and json.loads(out)["error"] == "non-generic-configuration"
 
 
 class TestCompactCommands:
-    def test_strata(self, capsys):
-        code, payload = run_json(capsys, "strata", "--type", "I")
+    def test_strata(self):
+        code, out, _ = call(["strata", "--type", "I", "--json"])
+        payload = json.loads(out)
         assert code == 0 and len(payload["strata"]) == 27
         assert payload["codimension_census"] == {"0": 1, "1": 6, "2": 12, "3": 8}
 
-    def test_strata_lower_type_rejected(self, capsys):
-        code, payload = run_json(capsys, "strata", "--type", "IX")
-        assert code == 1
+    def test_strata_lower_type_rejected(self):
+        code, out, _ = call(["strata", "--type", "IX", "--json"])
+        assert code == 1 and "error" in json.loads(out)
 
-    def test_classify_compact(self, capsys, tmp_path):
+    def test_classify_compact(self, tmp_path):
         path = write(tmp_path, "c.json",
                      {"slopes": [3, 4, 5, 4, 3], "gaps": ["0", "2", "1"]})
-        code, payload = run_json(capsys, "classify-compact", path)
+        code, out, _ = call(["classify-compact", path, "--json"])
+        payload = json.loads(out)
         assert code == 0
         assert payload["collisions"] == [{"index": 1, "kind": "valid-merge"}]
         assert payload["limit_slopes"] == [3, 5, 4, 3]
         assert payload["in_moduli"] and payload["limit_label"] == "VI"
 
-    def test_classify_compact_infinity(self, capsys, tmp_path):
+    def test_classify_compact_infinity(self, tmp_path):
         path = write(tmp_path, "c.json",
                      {"slopes": [3, 2, 3, 2, 3], "gaps": ["1", "1", "inf"]})
-        code, payload = run_json(capsys, "classify-compact", path)
+        _, out, _ = call(["classify-compact", path, "--json"])
+        payload = json.loads(out)
         assert payload["infinity"] == [3] and payload["codimension"] == 1
 
 
 class TestReluCommands:
-    def test_from_relu(self, capsys, tmp_path):
-        path = write(tmp_path, "n.json", EXAMPLE_NET)
-        code, payload = run_json(capsys, "from-relu", path)
+    def test_from_relu(self, tmp_path):
+        path = write(tmp_path, "n.json", README_NET)
+        code, out, _ = call(["from-relu", path, "--json"])
+        payload = json.loads(out)
         assert code == 0 and payload["admissible"]
-        assert payload["map"] == EXAMPLE_MAP
+        assert payload["map"] == README_MAP
 
-    def test_to_relu_roundtrip(self, capsys, tmp_path):
-        path = write(tmp_path, "m.json", EXAMPLE_MAP)
-        code, payload = run_json(capsys, "to-relu", path)
-        assert code == 0 and payload == EXAMPLE_NET
+    def test_to_relu_roundtrip(self, tmp_path):
+        path = write(tmp_path, "m.json", README_MAP)
+        code, out, _ = call(["to-relu", path, "--json"])
+        assert code == 0 and json.loads(out) == README_NET
 
     @pytest.mark.parametrize("net, slopes", [
         ({"base_slope": "1/2", "base_bias": "0", "units": []}, ["1/2"]),
@@ -212,9 +202,10 @@ class TestReluCommands:
         ({"base_slope": "3", "base_bias": "0", "units": [LONG_UNIT]},
          [3, "3" + "0" * 3998 + "1/1" + "0" * 3999]),
     ])
-    def test_from_relu_non_integer_slope(self, capsys, tmp_path, net, slopes):
+    def test_from_relu_non_integer_slope(self, tmp_path, net, slopes):
         path = write(tmp_path, "n.json", net)
-        code, payload = run_json(capsys, "from-relu", path)
+        code, out, _ = call(["from-relu", path, "--json"])
+        payload = json.loads(out)
         assert code == 0 and payload["map"]["slopes"] == slopes
         assert not payload["admissible"]
         # the problem echoes the slope in interchange form, cut to 40
@@ -223,28 +214,29 @@ class TestReluCommands:
         if len(echo) > 40:
             echo = "%s... (%d characters)" % (echo[:40], len(echo))
         assert "non-integer slope: " + echo in payload["problems"]
-        code, out = run(capsys, "from-relu", path)
+        code, out, _ = call(["from-relu", path])
         assert code == 0 and "admissible: false" in out.splitlines()
 
-    def test_symmetry(self, capsys, tmp_path):
-        path = write(tmp_path, "n.json", EXAMPLE_NET)
-        code, payload = run_json(capsys, "symmetry", path)
+    def test_symmetry(self, tmp_path):
+        path = write(tmp_path, "n.json", README_NET)
+        _, out, _ = call(["symmetry", path, "--json"])
+        payload = json.loads(out)
         assert payload["type"] == "I" and payload["aut"] == "z2"
         assert payload["gap_condition"] == {"l1": "1", "l3": "1", "equal": True}
 
 
 class TestTropicalize:
-    def test_cubic(self, capsys, tmp_path):
+    def test_cubic(self, tmp_path):
         path = write(tmp_path, "f.json", {"p": ["0", "0", "0", "0"], "q": ["0"]})
-        code, payload = run_json(capsys, "tropicalize", path)
+        code, out, _ = call(["tropicalize", path, "--json"])
         assert code == 0
-        assert payload == {"breaks": ["0"], "slopes": [0, 3], "anchor": "0"}
+        assert json.loads(out) == {"breaks": ["0"], "slopes": [0, 3], "anchor": "0"}
 
-    def test_sparse_with_bottom(self, capsys, tmp_path):
+    def test_sparse_with_bottom(self, tmp_path):
         path = write(tmp_path, "f.json",
                      {"p": ["0", "-inf", "-inf", "0"], "q": ["0"]})
-        code, payload = run_json(capsys, "tropicalize", path)
-        assert payload["slopes"] == [0, 3]
+        _, out, _ = call(["tropicalize", path, "--json"])
+        assert json.loads(out)["slopes"] == [0, 3]
 
 
 class TestDeterminism:
@@ -253,21 +245,12 @@ class TestDeterminism:
         ("hurwitz", "--distances", "4,10,4"),
         ("strata", "--type", "II"),
     ])
-    def test_byte_identical_json(self, capsys, argv):
-        _, a = run(capsys, *argv, "--json")
-        _, b = run(capsys, *argv, "--json")
-        assert a == b
+    def test_byte_identical_json(self, argv):
+        argv = [*argv, "--json"]
+        assert call(argv) == call(argv)
 
 
 INVALID_MAP = {"breaks": ["1", "0"], "slopes": [3, 4, 3], "anchor": "0"}
-
-
-def run_stdin(capsys, monkeypatch, argv, obj=None):
-    text = obj if isinstance(obj, str) else json.dumps(obj)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestErrorCodes:
@@ -275,7 +258,7 @@ class TestErrorCodes:
         ("invalid-input", 2, "err", ("classify", "-"), "{not json"),
         ("invalid-map", 1, "out", ("eval", "-", "--at", "2"), INVALID_MAP),
         ("invalid-degeneration", 1, "out", ("degenerate", "-", "--merge", "2"),
-         EXAMPLE_POINT),
+         README_POINT),
         ("non-generic-configuration", 1, "out", ("hurwitz", "--distances", "1,0,1"), None),
         ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
         ("domain-error", 1, "out", ("types", "--degree", "0"), None),
@@ -288,68 +271,56 @@ class TestErrorCodes:
         ("invalid-input", 2, "err", ("classify", "-"),
          {"breaks": ["0"], "slopes": [3], "anchor": "0"}),
     ])
-    def test_code_exit_and_stream(self, capsys, monkeypatch, error, exit_code,
-                                  stream, argv, stdin):
-        code, out, err = run_stdin(capsys, monkeypatch, argv, stdin)
+    def test_code_exit_and_stream(self, error, exit_code, stream, argv, stdin):
+        code, out, err = call(argv, stdin)
         shown, silent = (err, out) if stream == "err" else (out, err)
         assert code == exit_code and silent == ""
         payload = json.loads(shown)
         assert payload["error"] == error and payload["detail"]
 
-    def test_unreadable_file_echoes_its_path_cut_short(self, capsys, monkeypatch, tmp_path):
+    def test_unreadable_file_echoes_its_path_cut_short(self, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         path = "missing/" * 37 + "data"   # 300 characters, under no directory
-        code = cli.main(["classify", path, "--json"])
-        captured = capsys.readouterr()
-        payload = json.loads(captured.err)
-        assert (code, captured.out, payload["error"]) == (2, "", "invalid-input")
+        code, out, err = call(["classify", path, "--json"])
+        payload = json.loads(err)
+        assert (code, out, payload["error"]) == (2, "", "invalid-input")
         detail = payload["detail"]
         assert len(detail) < 200 and detail.startswith("cannot read 'missing/")
         assert detail.endswith("... (302 characters): No such file or directory")
 
-    def test_non_integer_point_slope_is_invalid_input(self, capsys, monkeypatch):
+    def test_non_integer_point_slope_is_invalid_input(self):
         point = {"slopes": [3, [4], 3], "gaps": ["1"], "position": "0"}
-        code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-"), point)
+        code, out, err = call(["aut", "-"], point)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "invalid-input", "detail": "non-integer slope: [4]"}
 
     @pytest.mark.parametrize("a", [NINES, NINES + "/7"], ids=["integer", "non-integer"])
-    def test_network_past_the_digit_limit(self, capsys, monkeypatch, a):
+    def test_network_past_the_digit_limit(self, a):
         net = {"base_slope": "0", "base_bias": "0", "units": [{"w": NINES, "b": "0", "a": a}]}
-        for argv in (("from-relu", "-"), ("from-relu", "-", "--json")):
-            code, out, err = run_stdin(capsys, monkeypatch, argv, net)
+        for argv in (["from-relu", "-"], ["from-relu", "-", "--json"]):
+            code, out, err = call(argv, net)
             assert (code, err) == (1, "")
             assert json.loads(out)["error"] == "result-too-large"
-        code, out, err = run_stdin(capsys, monkeypatch, ("symmetry", "-", "--json"), net)
+        code, out, err = call(["symmetry", "-", "--json"], net)
         problems = json.loads(out)["problems"]
         assert (code, err) == (0, "") and problems
         assert all(len(p) <= 200 for p in problems)
         assert any("a number of 8000 digits" in p for p in problems)
 
-    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
         for message, detail in (("boom", "RuntimeError: boom"),
                                 ("x" * 1000, "RuntimeError: " + "x" * 146 + "... (1014 characters)")):
             def broken(p, message=message):
                 raise RuntimeError(message)
             monkeypatch.setattr(moduli, "automorphisms", broken)
-            code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-", "--json"), EXAMPLE_POINT)
+            code, out, err = call(["aut", "-", "--json"], README_POINT)
             assert (code, out) == (3, "") and "Traceback" not in err
             assert json.loads(err) == {"error": "internal-error", "detail": detail}
-
-    @staticmethod
-    def cli_process(argv, stdout, **env):
-        """`python -m tropmaps.cli argv` on this checkout's package, with
-        `env` added to the environment."""
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.Popen([sys.executable, "-m", "tropmaps.cli", *argv],
-                                stdout=stdout, stderr=subprocess.PIPE,
-                                env=dict(os.environ, PYTHONPATH=path, **env))
 
     def test_closed_stdout_exits_as_sigpipe(self):
         """A reader that stops after 10 bytes: nothing on stderr, and exit 141
         (128 + SIGPIPE), what a shell reports for `cat` cut off the same way."""
-        with self.cli_process(["types", "--degree", "6"], subprocess.PIPE) as proc:
+        with python(["-m", "tropmaps.cli", "types", "--degree", "6"]) as proc:
             assert len(proc.stdout.read(10)) == 10
             proc.stdout.close()
             assert (proc.stderr.read(), proc.wait()) == (b"", 141)
@@ -357,7 +328,7 @@ class TestErrorCodes:
     def test_error_report_to_a_closed_stdout(self):
         read, write = os.pipe()
         os.close(read)
-        with self.cli_process(["hurwitz", "--distances", "1,0,1"], write) as proc:
+        with python(["-m", "tropmaps.cli", "hurwitz", "--distances", "1,0,1"], write) as proc:
             os.close(write)
             assert (proc.stderr.read(), proc.wait()) == (b"", 141)
 
@@ -373,7 +344,7 @@ class TestErrorCodes:
         usage error still goes to stderr with exit 2."""
         read, write = os.pipe()
         os.close(read)
-        with self.cli_process(argv, write, PYTHONUNBUFFERED=unbuffered) as proc:
+        with python(["-m", "tropmaps.cli", *argv], write, PYTHONUNBUFFERED=unbuffered) as proc:
             os.close(write)
             assert (proc.stderr.read().endswith(err), proc.wait()) == (True, code)
 
@@ -404,28 +375,28 @@ class TestErrorCodes:
         (("tropicalize", "-"), {"p": "000", "q": ["0"]}),
         (("tropicalize", "-"), {"p": ["0", "0"], "q": "0"}),
     ])
-    def test_malformed_shapes_are_invalid_input(self, capsys, monkeypatch, argv, obj):
-        code, out, err = run_stdin(capsys, monkeypatch, argv, obj)
+    def test_malformed_shapes_are_invalid_input(self, argv, obj):
+        code, out, err = call(argv, obj)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "invalid-input"
 
-    def test_unknown_type_label_detail_is_the_message(self, capsys, monkeypatch):
-        code, out, err = run_stdin(capsys, monkeypatch, ("strata", "--type", "XI"))
+    def test_unknown_type_label_detail_is_the_message(self):
+        code, out, err = call(["strata", "--type", "XI"])
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "invalid-input",
                                    "detail": "unknown degree-3 type label: 'XI'"}
 
-    def test_long_rejected_value_is_not_echoed(self, capsys, monkeypatch):
+    def test_long_rejected_value_is_not_echoed(self):
         long = "7" * 5000  # past the interpreter's int-string digit limit
         for obj in ({"breaks": [], "slopes": [3], "anchor": long},
                     {"breaks": [], "slopes": [long], "anchor": "0"}):
-            code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-"), obj)
+            code, out, err = call(["classify", "-"], obj)
             payload = json.loads(err)
             assert code == 2 and out == "" and payload["error"] == "invalid-input"
             assert len(payload["detail"]) < 200 and "5002 characters" in payload["detail"]
         # a 4,000-digit denominator parses; the map's problems echo it cut short
         net = {"base_slope": "3", "base_bias": "0", "units": [LONG_UNIT]}
-        code, out, err = run_stdin(capsys, monkeypatch, ("from-relu", "-", "--json"), net)
+        code, out, err = call(["from-relu", "-", "--json"], net)
         problems = json.loads(out)["problems"]
         assert code == 0 and err == "" and problems
         assert all(len(p) < 200 for p in problems) and "8001 characters" in problems[0]
@@ -433,12 +404,12 @@ class TestErrorCodes:
         # and the total ramification cut short
         big = int("7" * 4000)
         point = {"slopes": [3, 4, 5, 4, big], "gaps": ["1", "1", "1"], "position": "0"}
-        code, out, err = run_stdin(capsys, monkeypatch, ("aut", "-", "--json"), point)
+        code, out, err = call(["aut", "-", "--json"], point)
         detail = json.loads(err)["detail"]
         assert code == 2 and out == "" and len(detail) < 200
         assert "end slopes (3, 7777" in detail and "(4000 characters)" in detail
         m = {"breaks": ["0", "1"], "slopes": [3, big, 3], "anchor": "0"}
-        code, out, err = run_stdin(capsys, monkeypatch, ("classify", "-", "--json"), m)
+        code, out, err = call(["classify", "-", "--json"], m)
         reasons = json.loads(out)["reasons"]
         assert code == 0 and err == "" and reasons
         assert all(len(r) < 200 for r in reasons) and "(4001 characters)" in reasons[0]

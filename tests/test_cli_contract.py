@@ -13,20 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropmaps import registry_d3
-from conftest import call
+from conftest import README_MAP, README_NET, README_POINT, call
 
-MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
-POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"], "position": "0"}
-NET = {"base_slope": "3", "base_bias": "0",
-       "units": [{"w": "1", "b": "0", "a": "1"}, {"w": "1", "b": "-1", "a": "1"},
-                 {"w": "1", "b": "-3", "a": "-1"}, {"w": "1", "b": "-4", "a": "-1"}]}
 HALF_SLOPE_NET = {"base_slope": "1/2", "base_bias": "0",
                   "units": [{"w": "1", "b": "-1", "a": "1"}]}
 
 
 def written(argv, obj):
     """The JSON payload of a call that must succeed."""
-    code, out, err = call([*argv, "-", "--json"], json.dumps(obj))
+    code, out, err = call([*argv, "-", "--json"], obj)
     assert (code, err) == (0, ""), out + err
     return json.loads(out)
 
@@ -38,13 +33,13 @@ def readers(*argvs, code=0):
 # (writer argv, writer input, the part of its output that is the value,
 # [(reader argv, its exit code)])
 ROUND_TRIPS = [
-    (["from-relu"], NET, "map", readers(["classify"], ["eval", "--at", "2"], ["to-relu"])),
+    (["from-relu"], README_NET, "map", readers(["classify"], ["eval", "--at", "2"], ["to-relu"])),
     # a non-integer slope is written as a rational string; readers see an
     # invalid map, not malformed input
     (["from-relu"], HALF_SLOPE_NET, "map",
      readers(["classify"]) + readers(["eval", "--at", "2"], ["to-relu"], code=1)),
-    (["to-relu"], MAP, None, readers(["from-relu"], ["symmetry"])),
-    (["degenerate", "--merge", "1"], POINT, None, readers(["aut"], ["stratum"], ["curve"])),
+    (["to-relu"], README_MAP, None, readers(["from-relu"], ["symmetry"])),
+    (["degenerate", "--merge", "1"], README_POINT, None, readers(["aut"], ["stratum"], ["curve"])),
     (["tropicalize"], {"p": ["1", "-inf", "2", "0"], "q": ["0", "-1/2"]}, None,
      readers(["classify"])),
 ]
@@ -56,7 +51,7 @@ ROUND_TRIPS = [
 def test_written_formats_read_back(writer, obj, part, reader, exit_code):
     value = written(writer, obj)
     value = value if part is None else value[part]
-    code, out, err = call([reader[0], "-", *reader[1:], "--json"], json.dumps(value))
+    code, out, err = call([reader[0], "-", *reader[1:], "--json"], value)
     assert (code, err) == (exit_code, ""), out + err
     if code == 1:
         assert json.loads(out)["error"] == "invalid-map"

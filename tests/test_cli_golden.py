@@ -14,20 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import call
+from conftest import README_MAP, README_NET, README_POINT, call
 
 CORPUS = Path(__file__).with_name("cli_golden.jsonl")
 
-MAP = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
 INADMISSIBLE_MAP = {"breaks": ["0"], "slopes": [3, 2], "anchor": "1/2"}
 INVALID_MAP = {"breaks": ["1", "0"], "slopes": [3, 4, 3], "anchor": "0"}
 BREAK_FREE_MAP = {"breaks": [], "slopes": [-2], "anchor": "7/3"}
-POINT = {"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "2", "1"], "position": "0"}
 ASYMMETRIC_POINT = {"slopes": [3, 4, 3, 2, 3], "gaps": ["1", "2", "3"],
                     "position": "-1/2"}
-NET = {"base_slope": "3", "base_bias": "0",
-       "units": [{"w": "1", "b": "0", "a": "1"}, {"w": "1", "b": "-1", "a": "1"},
-                 {"w": "1", "b": "-3", "a": "-1"}, {"w": "1", "b": "-4", "a": "-1"}]}
 DEAD_NET = {"base_slope": "3", "base_bias": "1",
             "units": [{"w": "0", "b": "2", "a": "1"}, {"w": "1", "b": "-1", "a": "0"},
                       {"w": "2", "b": "-2", "a": "1"}, {"w": "1", "b": "-1", "a": "-2"},
@@ -70,7 +65,7 @@ CALLS = [
     *_json(["types", "--degree", "3", "--max-breaks", "4"]),
     *_both(["types", "--degree", "3", "--max-breaks", "3"]),
 
-    *_both(["classify", "-"], json.dumps(MAP)),
+    *_both(["classify", "-"], json.dumps(README_MAP)),
     *_json(["classify", "-"], json.dumps(INADMISSIBLE_MAP)),
     *_both(["classify", "-"], json.dumps(INVALID_MAP)),
     *_both(["classify", "-"], "{not json"),
@@ -80,17 +75,17 @@ CALLS = [
     *_json(["classify", "-"], json.dumps({"breaks": "13", "slopes": [3, 4, 3], "anchor": "0"})),
     *_json(["classify", "-"], json.dumps(HALF_SLOPE_MAP)),
 
-    *_both(["eval", "-", "--at", "2"], json.dumps(MAP)),
-    *_json(["eval", "-", "--at=-inf"], json.dumps(MAP)),
-    *_json(["eval", "-", "--at=-1/2"], json.dumps(MAP)),
+    *_both(["eval", "-", "--at", "2"], json.dumps(README_MAP)),
+    *_json(["eval", "-", "--at=-inf"], json.dumps(README_MAP)),
+    *_json(["eval", "-", "--at=-1/2"], json.dumps(README_MAP)),
     *_json(["eval", "-", "--at", "5/3"], json.dumps(BREAK_FREE_MAP)),
     *_json(["eval", "-", "--at", "inf"], json.dumps(BREAK_FREE_MAP)),
     *_both(["eval", "-", "--at", "2"], json.dumps(INVALID_MAP)),
-    *_json(["eval", "-", "--at", "zz"], json.dumps(MAP)),
+    *_json(["eval", "-", "--at", "zz"], json.dumps(README_MAP)),
     *_json(["eval", "-", "--at", HUGE],
            json.dumps({"breaks": [], "slopes": [int(HUGE)], "anchor": "0"})),
 
-    *_both(["aut", "-"], json.dumps(POINT)),
+    *_both(["aut", "-"], json.dumps(README_POINT)),
     *_json(["aut", "-"], json.dumps(ASYMMETRIC_POINT)),
     *_json(["aut", "-"], json.dumps({"slopes": [3, 4, 5, 4, 3], "gaps": ["1", "0", "1"],
                                      "position": "0"})),
@@ -100,12 +95,12 @@ CALLS = [
                                      "position": "0"})),
     *_json(["aut", "-"], json.dumps({"slopes": [3, 5, 3], "gaps": "2", "position": "0"})),
 
-    *_both(["stratum", "-"], json.dumps(POINT)),
+    *_both(["stratum", "-"], json.dumps(README_POINT)),
     *_json(["stratum", "-"], json.dumps({"slopes": "345", "gaps": [], "position": "0"})),
 
-    *_both(["degenerate", "-", "--merge", "1"], json.dumps(POINT)),
-    *_both(["degenerate", "-", "--merge", "2"], json.dumps(POINT)),
-    *_json(["degenerate", "-", "--merge", "0"], json.dumps(POINT)),
+    *_both(["degenerate", "-", "--merge", "1"], json.dumps(README_POINT)),
+    *_both(["degenerate", "-", "--merge", "2"], json.dumps(README_POINT)),
+    *_json(["degenerate", "-", "--merge", "0"], json.dumps(README_POINT)),
 
     *_both(["curve", "-"], json.dumps(ASYMMETRIC_POINT)),
     *_json(["curve", "-"], json.dumps({"gaps": ["1"]})),
@@ -121,7 +116,7 @@ CALLS = [
     *_json(["classify-compact", "-"], json.dumps({"slopes": [3, 4, 3, 4, 3],
                                                   "gaps": ["0", "0", "0"]})),
 
-    *_both(["from-relu", "-"], json.dumps(NET)),
+    *_both(["from-relu", "-"], json.dumps(README_NET)),
     *_both(["from-relu", "-"], json.dumps(HALF_SLOPE_NET)),
     *_json(["from-relu", "-"], json.dumps(LONG_UNIT_NET)),
     *_json(["from-relu", "-"], json.dumps({"base_slope": "3", "units": []})),
@@ -129,12 +124,12 @@ CALLS = [
     *_json(["from-relu", "-"], json.dumps(CANCELLING_NET)),
     *[call for net in BIG_SLOPE_NETS for call in _both(["from-relu", "-"], json.dumps(net))],
 
-    *_both(["to-relu", "-"], json.dumps(MAP)),
+    *_both(["to-relu", "-"], json.dumps(README_MAP)),
     *_json(["to-relu", "-"], json.dumps(BREAK_FREE_MAP)),
     *_json(["to-relu", "-"], json.dumps(INVALID_MAP)),
     *_json(["to-relu", "-"], json.dumps({"breaks": [], "slopes": [], "anchor": "0"})),
 
-    *_both(["symmetry", "-"], json.dumps(NET)),
+    *_both(["symmetry", "-"], json.dumps(README_NET)),
     *_json(["symmetry", "-"], json.dumps(DEAD_NET)),
     *_json(["symmetry", "-"], json.dumps(HALF_SLOPE_NET)),
     *_json(["symmetry", "-"], json.dumps({"base_slope": "3", "base_bias": "0",

@@ -10,13 +10,12 @@ package's re-exports.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from conftest import README_MAP, python
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tropmaps"
 SOURCES = sorted(SRC.glob("*.py"))
@@ -147,8 +146,15 @@ def test_a_cli_call_imports_no_dataclasses():
             "from tropmaps import cli\n"
             "cli.main(['eval', '-', '--at', '1/2', '--json'])\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    readme_map = {"breaks": ["0", "1", "3", "4"], "slopes": [3, 4, 5, 4, 3], "anchor": "0"}
-    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(readme_map),
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert (run.returncode, run.stdout.splitlines()) == (0, ['{"value": "2"}', "[]"])
+    with python(["-c", code]) as proc:
+        out, _ = proc.communicate(json.dumps(README_MAP).encode())
+    assert (proc.returncode, out.decode().splitlines()) == (0, ['{"value": "2"}', "[]"])
+
+
+def test_every_file_parses_as_python_3_10():
+    """The grammar of the oldest Python the project supports.  ast.parse
+    checks feature_version on a best-effort basis, and it does not check
+    the standard library API at all: a 3.11-only function still passes."""
+    root = SRC.parent.parent
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropmaps import (InvalidDegeneration, ModuliPoint, SlopeSequence,
+from tropmaps import (InvalidDegeneration, ModuliPoint,
                       TropicalMap, automorphisms, branch_configuration, canonical_type,
                       curve_automorphisms, degenerate, evaluate, maps_equal,
                       moduli_point, ramification, registry_d3,
                       registry_sequence, representative_map, stratum,
                       weighted_curve)
+from tropmaps.errors import InputError
 from conftest import random_fraction
 
 PALINDROMIC_LABELS = [t.label for t in registry_d3() if t.palindromic]
@@ -221,10 +222,9 @@ class TestDegeneration:
         assert canonical_type(q.seq).label == "VII"
 
     def test_merge_index_bounds(self):
-        with pytest.raises(ValueError):
-            degenerate(point("I", (1, 2, 1)), 0)
-        with pytest.raises(ValueError):
-            degenerate(point("I", (1, 2, 1)), 4)
+        for i in (0, 4):   # gaps 1 to k - 1 = 3 merge
+            with pytest.raises(InputError, match="^merge index out of range$"):
+                degenerate(point("I", (1, 2, 1)), i)
 
     def test_positions_shift_down(self):
         # merged break sits at the lower colliding point; upper breaks

@@ -125,11 +125,9 @@ class TestBreakValueCache:
         slopes = tuple(3 + i % 2 for i in range(2001))
         return TropicalMap(breaks, slopes, Fraction(1, 7))
 
-    def test_prefix_pass_runs_once_on_first_use(self, monkeypatch):
-        calls = []
+    def test_prefix_pass_runs_once_on_first_use(self, spy):
         real = plcore.break_values
-        monkeypatch.setattr(plcore, "break_values",
-                            lambda m: calls.append(m) or real(m))
+        calls = spy(plcore, "break_values")
         m = self.big_map()
         assert calls == []  # built, not yet evaluated: nothing computed
         xs = m.break_points[::20]
@@ -390,6 +388,10 @@ class TestTropicalize:
         m = tropicalize_rational(TropicalPolynomial((0, 0, 0, 0)),
                                  TropicalPolynomial((0,)))
         assert m.break_points == (0,) and m.slopes == (0, 3) and m.anchor_value == 0
+
+    def test_lines_through_one_point_make_one_corner(self):
+        # the envelope itself, not only the difference that merges corners
+        assert plcore.envelope(TropicalPolynomial(("0", "0", "0"))) == TropicalMap((0,), (0, 2), 0)
 
     def test_sparse_cubic(self):
         m = tropicalize_rational(TropicalPolynomial((0, NEG_INF, NEG_INF, 0)),

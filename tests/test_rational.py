@@ -83,11 +83,17 @@ class TestParseExtended:
 
 class TestBoundedEcho:
     @pytest.mark.parametrize("x, text", [(Fraction(7, 2), "7/2"), (-4, "-4"), (True, "True"),
-                                         (4.5, "4.5"), ("x", "'x'")])
+                                         (4.5, "4.5"), ("x", "'x'"),
+                                         # cut only past 40 characters
+                                         pytest.param(10 ** 39, "1" + "0" * 39, id="40-digits"),
+                                         pytest.param(10 ** 40, "1" + "0" * 39 + "... (41 characters)",
+                                                      id="41-digits")])
     def test_numbers_in_the_interchange_form(self, x, text):
         assert _bounded_echo(x) == text
 
-    @pytest.mark.parametrize("digits", [4301, 8000])
+    # math.log10(10 ** 32768) comes out one low, so the digit count needs its
+    # upward correction there
+    @pytest.mark.parametrize("digits", [4301, 8000, 32769])
     def test_past_the_digit_limit_names_the_size(self, digits):
         top = 10 ** digits - 1
         for x in (top, -top, 10 ** (digits - 1), Fraction(1, top), Fraction(top, 7)):
