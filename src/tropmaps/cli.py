@@ -76,8 +76,11 @@ _MAX_DEGREE = 8   # types: d=8 lists 235,734 types, each degree costs about 8x m
 
 
 def _types(degree, max_breaks):
-    if degree > _MAX_DEGREE:
-        raise InputError("degree must be at most %d" % _MAX_DEGREE)
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise InputError("degree must be positive" if degree < 1
+                         else "degree must be at most %d" % _MAX_DEGREE)
+    if max_breaks is not None and max_breaks < 0:
+        raise InputError("max-breaks must be at least 0")
     if degree != 3:
         return types_enum.enumerate_types(degree, max_breaks)
     return [t for t in types_enum.registry_d3() if max_breaks is None or t.k <= max_breaks]

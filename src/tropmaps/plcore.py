@@ -27,6 +27,8 @@ from .types_enum import _admissibility_reasons
 def _parse_slope(s):
     # Integer slopes collapse to int; non-integer rationals are kept so
     # that validate() and the ReLU admissibility report can see them.
+    if type(s) is int:
+        return s
     s = parse_rational(s)
     return int(s) if s.denominator == 1 else s
 

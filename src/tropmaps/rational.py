@@ -6,7 +6,6 @@ used at evaluation boundaries.
 """
 
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -20,12 +19,10 @@ def is_infinite(x):
     return isinstance(x, float) and math.isinf(x)
 
 
-# The one string form of a rational: optional sign, decimal digits, and an
-# optional "/" and decimal denominator.  Fraction() would also take decimal
-# points, exponents and digit-group underscores; those are rejected.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
+# The one string form of a rational: an optional sign and ASCII decimal
+# digits, then optionally "/" and ASCII decimal digits.  Fraction() would
+# also take decimal points, exponents, digit-group underscores and
+# non-ASCII digits; those are rejected.
 def parse_rational(value):
     """Parse a JSON scalar to a Fraction: an int, a Fraction, or a string
     "[+-]digits[/digits]" with surrounding whitespace stripped.
@@ -33,19 +30,21 @@ def parse_rational(value):
     Numerator and denominator are bounded by the interpreter's limit on
     int-string conversion digits; anything else raises ValueError.
     """
-    if isinstance(value, bool):
+    if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in "+-" else num
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError):
+                pass
+    elif isinstance(value, bool):
         raise ValueError("booleans are not rationals")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    elif isinstance(value, int):
         return Fraction(value)
-    match = _RATIONAL.fullmatch(value.strip()) if isinstance(value, str) else None
-    if match:
-        num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):
-            pass
+    elif isinstance(value, Fraction):
+        return value
     raise ValueError("not a rational: " + _bounded_echo(value))
 
 
@@ -72,7 +71,8 @@ def _bounded_echo(value, form=None, width=40):
             raise
         big = max(abs(value.numerator), value.denominator)
         d = int(math.log10(big))  # floor(log10(big)), or one off after rounding
-        d += (big >= 10 ** (d + 1)) - (big < 10 ** d)
+        p = 10 ** d
+        d += (big >= 10 * p) - (big < p)
         return "a number of %d digits" % (d + 1)
     if len(text) > width:
         text = "%s... (%d characters)" % (text[:width], len(text))

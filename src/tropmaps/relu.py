@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import moduli
-from .plcore import TropicalMap, _from_kinks, _kinks, is_admissible
+from .plcore import TropicalMap, _from_kinks, _kinks, _parse_slope, is_admissible
 from .rational import parse_rational
 from .record import Record
 from .types_enum import _D3_LABELS, _is_palindrome
@@ -62,21 +62,26 @@ def _folded_terms(net: ReLUNetwork):
     Uses max(0, u) = u + max(0, -u) to flip negative-weight units, and
     folds zero-weight units into the bias.  Returns (slope, bias, terms)
     with terms a list of (threshold, jump); jumps can be zero here (dead
-    a_j = 0 units) and cancel later.
+    a_j = 0 units) and cancel later.  Jumps and thresholds are built from
+    numerators and denominators, at most one gcd each, and an integral slope or
+    jump is an int, so the merge adds ints.
     """
     slope, bias = net.base_slope, net.base_bias
     terms = []
     for w, b, a in net.units:
-        if not w:
-            bias += a * max(Fraction(0), b)
+        wn, wd = w.numerator, w.denominator
+        if not wn:
+            if b > 0:  # a * max(0, b)
+                bias += a * b
             continue
-        jump = a * w
-        if w < 0:  # flipping (w, b) to (-w, -b) keeps the threshold
+        jn, jd = a.numerator * wn, a.denominator * wd
+        jump = jn // jd if jn % jd == 0 else Fraction(jn, jd)
+        if wn < 0:  # flipping (w, b) to (-w, -b) keeps the threshold
             slope += jump
             bias += a * b
             jump = -jump
-        terms.append((-b / w, jump))
-    return slope, bias, terms
+        terms.append((Fraction(-b.numerator * wd, b.denominator * wn), jump))
+    return _parse_slope(slope), bias, terms
 
 
 def network_to_map(net: ReLUNetwork) -> NetworkConversion:

@@ -43,7 +43,7 @@ class TestTypes:
         assert asked == [(8, None)]
 
     @pytest.mark.parametrize("cap, labels", [
-        ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("-1", "")])
+        ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("0", "")])
     def test_degree3_cap_filters_the_registry(self, cap, labels):
         _, full, _ = call(["types", "--degree", "3", "--json"])
         code, out, _ = call(["types", "--degree", "3", "--max-breaks=" + cap, "--json"])
@@ -261,7 +261,7 @@ class TestErrorCodes:
          README_POINT),
         ("non-generic-configuration", 1, "out", ("hurwitz", "--distances", "1,0,1"), None),
         ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
-        ("domain-error", 1, "out", ("types", "--degree", "0"), None),
+        ("invalid-input", 2, "err", ("types", "--degree", "0"), None),
         ("invalid-input", 2, "err", ("types", "--degree", "9"), None),
         ("result-too-large", 1, "out", ("eval", "-", "--at", "7" * 3000),
          {"breaks": [], "slopes": [int("7" * 3000)], "anchor": "0"}),
@@ -270,6 +270,7 @@ class TestErrorCodes:
         # a slope list not one longer than the break list is malformed input
         ("invalid-input", 2, "err", ("classify", "-"),
          {"breaks": ["0"], "slopes": [3], "anchor": "0"}),
+        ("invalid-input", 2, "err", ("types", "--degree", "3", "--max-breaks", "-1"), None),
     ])
     def test_code_exit_and_stream(self, error, exit_code, stream, argv, stdin):
         code, out, err = call(argv, stdin)

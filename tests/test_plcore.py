@@ -1,3 +1,4 @@
+import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -13,7 +14,7 @@ from tropmaps import (TropicalMap, TropicalPolynomial, apply_source_automorphism
 from tropmaps import plcore
 from tropmaps.errors import InputError
 from tropmaps.plcore import break_values
-from conftest import example_formula
+from conftest import call, example_formula
 
 NEG_INF = -math.inf
 
@@ -183,6 +184,26 @@ class TestValidate:
     def test_bool_slope(self):
         with pytest.raises(ValueError, match="booleans"):
             TropicalMap((), (True,), 0)
+
+    def test_json_true_slope_is_invalid_input(self):
+        code, out, err = call(["classify", "-", "--json"],
+                              {"breaks": [], "slopes": [True], "anchor": "0"})
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input",
+                                   "detail": "booleans are not rationals"}
+
+    @pytest.mark.parametrize("slope", [3, Fraction(3, 1), "3"], ids=["int", "fraction", "text"])
+    def test_integer_slopes_are_ints(self, slope):
+        (s,) = TropicalMap((), (slope,), 0).slopes
+        assert type(s) is int and s == 3
+
+    def test_non_integer_slope_stays_a_fraction(self):
+        m = TropicalMap((0,), (3, "10/3"), 0)
+        assert m.slopes == (3, Fraction(10, 3)) and type(m.slopes[1]) is Fraction
+        code, out, _ = call(["classify", "-", "--json"],
+                            {"breaks": ["0"], "slopes": [3, "10/3"], "anchor": "0"})
+        payload = json.loads(out)
+        assert code == 0 and payload["problems"] == ["non-integer slope: 10/3"]
 
     @pytest.mark.parametrize("fields", [((0.5,), (3, 4), 0),
                                         ((0,), (3, 4), 0.25),

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,39 @@ class TestParseRational:
                                          ("\xa01/2\xa0", Fraction(1, 2))])
     def test_accepted_strings(self, text, x):
         assert parse_rational(text) == x
+
+
+# The string grammar as a regular expression, applied after stripping: the
+# oracle the hand-written reader is held to.
+GRAMMAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+LIMIT = sys.get_int_max_str_digits()
+# ASCII digits, signs and "/", and what int(), Fraction() or str.isdigit()
+# would also take: non-ASCII decimal digits, a superscript two, underscores,
+# Unicode spaces, a decimal point, an exponent, and runs of digits at and
+# past the int-string digit limit
+PIECES = st.sampled_from([*"0123456789+-/", *"\u0661\u0669\uff11\u0967\u00b2_",
+                          *" \t\n\x0b\x0c\r\xa0\u2003\u3000\u2028.e",
+                          "9" * LIMIT, "1" + "0" * LIMIT])
+SPACES = st.text(" \t\n\xa0\u2003\u3000", max_size=2)
+GRAMMAR_TEXT = st.one_of(
+    st.lists(PIECES, max_size=8).map("".join),
+    st.tuples(SPACES, st.from_regex(GRAMMAR, fullmatch=True), SPACES).map("".join),
+    st.text(max_size=12))
+
+
+class TestGrammar:
+    @given(GRAMMAR_TEXT)
+    def test_strings_read_as_the_grammar_says(self, text):
+        match = GRAMMAR.fullmatch(text.strip())
+        num, den = match.groups(default="1") if match else ("", "0")
+        # accepted: the oracle matches, the denominator is not all zeros and
+        # both parts are within the digit limit
+        if den.strip("0") and max(len(num.lstrip("+-")), len(den)) <= LIMIT:
+            assert parse_rational(text) == Fraction(int(num), int(den))
+        else:
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == "not a rational: " + _bounded_echo(text)
 
 
 class TestParseExtended:

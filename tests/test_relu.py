@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from tropmaps import cli, relu
 from tropmaps import (ReLUNetwork, TropicalMap, evaluate, maps_equal,
                       map_to_network, network_to_map, registry_d3,
                       registry_sequence, symmetry_report)
 from tropmaps.moduli import ModuliPoint, automorphisms, representative_map
-from conftest import random_fraction
+from conftest import call, random_fraction
 
 EXAMPLE_UNITS = ((1, 0, 1), (1, -1, 1), (1, -3, -1), (1, -4, -1))
 
@@ -103,6 +104,58 @@ class TestNetworkToMap:
         conv = network_to_map(ReLUNetwork(Fraction(5, 2), 0, ()))
         assert not conv.admissible
         assert any("non-integer" in p for p in conv.problems)
+
+
+def fraction_fold(net):
+    """The reference fold, written on Fraction values: the jump a*w, the
+    threshold -b/w, and a*max(0, b) for a zero-weight unit."""
+    slope, bias = net.base_slope, net.base_bias
+    terms = []
+    for w, b, a in net.units:
+        if not w:
+            bias += a * max(Fraction(0), b)
+            continue
+        jump = a * w
+        if w < 0:
+            slope += jump
+            bias += a * b
+            jump = -jump
+        terms.append((-b / w, jump))
+    return slope, bias, terms
+
+
+# small rationals, zero among them, with integer and non-integer products
+FOLD_VALUES = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6))
+
+
+def random_network(rng):
+    """The JSON of a network of up to eight units drawn from small rationals."""
+    def value():
+        return "%d/%d" % (rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4)))
+    units = [{"w": value(), "b": value(), "a": value()} for _ in range(rng.randint(0, 8))]
+    return {"base_slope": str(rng.randint(-3, 3)), "base_bias": value(), "units": units}
+
+
+class TestIntegerFold:
+    @given(st.lists(st.tuples(FOLD_VALUES, FOLD_VALUES, FOLD_VALUES), max_size=10),
+           FOLD_VALUES, FOLD_VALUES)
+    # zero weights with b > 0 and b < 0, a zero coefficient, non-integral
+    # jumps with a negative and a positive weight
+    @example([(0, 2, 3), (0, -2, 3), (2, 1, 0), (-3, 1, Fraction(1, 2)),
+              (Fraction(1, 3), -1, 1)], Fraction(1, 2), 0)
+    def test_equals_the_fraction_fold(self, units, slope, bias):
+        net = ReLUNetwork(slope, bias, units)
+        assert relu._folded_terms(net) == fraction_fold(net)
+
+    def test_from_relu_writes_what_the_fraction_fold_gives(self, monkeypatch, spy):
+        parser = cli.build_parser()   # built once for all 2,000 calls
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        nets = [random_network(random.Random(seed)) for seed in range(1000)]
+        written = [call(["from-relu", "-", "--json"], net) for net in nets]
+        monkeypatch.setattr(relu, "_folded_terms", fraction_fold)
+        folds = spy(relu, "_folded_terms")
+        assert [call(["from-relu", "-", "--json"], net) for net in nets] == written
+        assert len(folds) == 1000
 
 
 class TestMapToNetwork:
