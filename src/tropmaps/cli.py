@@ -81,9 +81,12 @@ def _types(degree, max_breaks):
                          else "degree must be at most %d" % _MAX_DEGREE)
     if max_breaks is not None and max_breaks < 0:
         raise InputError("max-breaks must be at least 0")
-    if degree != 3:
-        return types_enum.enumerate_types(degree, max_breaks)
-    return [t for t in types_enum.registry_d3() if max_breaks is None or t.k <= max_breaks]
+    if degree != 3:   # the search proves each tuple admissible: no type objects needed
+        return [{"label": None, "slopes": list(q), "palindromic": types_enum._is_palindrome(q),
+                 "k": len(q) - 1}
+                for q in types_enum.canonical_sequences(degree, max_breaks)]
+    return [_type_json(t) for t in types_enum.registry_d3()
+            if max_breaks is None or t.k <= max_breaks]
 
 
 def _type_json(t):
@@ -206,8 +209,7 @@ COMMANDS = (
     ("types", "enumerate combinatorial types",
      [("--degree", {"type": int, "required": True}),
       ("--max-breaks", {"type": int, "default": None})],
-     lambda a: (a.degree, a.max_breaks), lambda v: _types(*v),
-     lambda types: [_type_json(t) for t in types], _print_types),
+     lambda a: (a.degree, a.max_breaks), lambda v: _types(*v), None, _print_types),
     ("classify", "validate a map and identify its type", [INPUT],
      _map, _classify, None, _print_kv),
     ("eval", "evaluate a map at a point",

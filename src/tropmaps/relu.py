@@ -56,6 +56,12 @@ class SymmetryReport(Record):
     gap_condition: tuple | None  # (l1, l3, equal) for palindromic k=4 types
 
 
+def _threshold(w, b):
+    """The activation threshold -b/w of a unit with nonzero weight w, built
+    from numerators and denominators: one gcd and no Fraction division."""
+    return Fraction(-b.numerator * w.denominator, b.denominator * w.numerator)
+
+
 def _folded_terms(net: ReLUNetwork):
     """Rewrite every unit as jump * max(0, x - threshold) plus an affine part.
 
@@ -80,7 +86,7 @@ def _folded_terms(net: ReLUNetwork):
             slope += jump
             bias += a * b
             jump = -jump
-        terms.append((Fraction(-b.numerator * wd, b.denominator * wn), jump))
+        terms.append((_threshold(w, b), jump))
     return _parse_slope(slope), bias, terms
 
 
@@ -105,7 +111,7 @@ def symmetry_report(net: ReLUNetwork) -> SymmetryReport:
     dead = []
     for idx, (w, b, a) in enumerate(net.units):
         reason = ("zero-coefficient" if a == 0 else "zero-weight" if w == 0
-                  else None if -b / w in breaks else "cancelled-threshold")
+                  else None if _threshold(w, b) in breaks else "cancelled-threshold")
         if reason:
             dead.append(DeadUnit(idx, reason))
     dead = tuple(dead)

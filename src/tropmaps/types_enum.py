@@ -161,15 +161,17 @@ def _extend(out, degree, max_breaks, slopes, s, remaining):
             _extend(out, degree, max_breaks, slopes + (t,), t, remaining - abs(t - s))
 
 
-def enumerate_types(degree: int, max_breaks: int | None = None):
-    """All combinatorial types of the given degree, up to reversal.
+def canonical_sequences(degree: int, max_breaks: int | None = None):
+    """The canonical slope tuple of every degree-d type, up to reversal.
 
     Search space is finite since each jump contributes at least 1 to the
     variation budget 2d-2.  A recursive search appends each admissible
     slope tuple that is no greater than its reversal to one list, so each
-    reversal class is kept once, in its canonical orientation; the list
-    is sorted before any type is built.  Output order: k descending, then
-    canonical sequences lexicographically.
+    reversal class is kept once, in its canonical orientation.  Order: k
+    descending, then lexicographic.  The search tries each next slope in
+    ascending order and no complete tuple is a prefix of another, so each
+    length comes out in lexicographic order and a stable sort by length
+    alone gives the full order.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -178,10 +180,16 @@ def enumerate_types(degree: int, max_breaks: int | None = None):
         cap = min(cap, max_breaks)
     found = []
     _extend(found, degree, cap, (degree,), degree, 2 * degree - 2)
-    found.sort(key=lambda q: (-len(q), q))
+    found.sort(key=len, reverse=True)
+    return found
+
+
+def enumerate_types(degree: int, max_breaks: int | None = None):
+    """All combinatorial types of the given degree, up to reversal, in the
+    order of `canonical_sequences`."""
     labels = _D3_LABELS if degree == 3 else {}
     types = []
-    for q in found:
+    for q in canonical_sequences(degree, max_breaks):
         seq = SlopeSequence(degree, q)
         types.append(CombinatorialType(seq, _is_palindrome(q), labels.get(q), seq))
     return types

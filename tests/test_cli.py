@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -38,9 +39,25 @@ class TestTypes:
     def test_largest_degree_is_listed(self, monkeypatch):
         # listing degree 8 takes seconds: the bound is what is tested here
         asked = []
-        monkeypatch.setattr(types_enum, "enumerate_types", lambda *args: asked.append(args) or [])
+        monkeypatch.setattr(types_enum, "canonical_sequences", lambda *args: asked.append(args) or [])
         assert call(["types", "--degree", "8", "--json"]) == (0, "[]\n", "")
         assert asked == [(8, None)]
+
+    @pytest.mark.parametrize("degree", [1, 2, 4, 5, 6])
+    def test_rows_are_the_library_types(self, degree):
+        # the CLI builds its rows from the slope tuples, with no type objects
+        for cap in [None, *range(2 * degree - 1)]:
+            argv = ["types", "--degree", str(degree), "--json"]
+            code, out, _ = call(argv + ([] if cap is None else ["--max-breaks", str(cap)]))
+            assert code == 0 and json.loads(out) == \
+                [cli._type_json(t) for t in types_enum.enumerate_types(degree, cap)]
+
+    def test_degree7_bytes(self):
+        # the golden corpus holds no listing this large
+        code, out, err = call(["types", "--degree", "7", "--json"])
+        assert (code, err, len(out)) == (0, "", 2_518_980)
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "58588534a1ed1001cb738deea1783e176df9bf1de32a9ac53edcac732a7fc069"
 
     @pytest.mark.parametrize("cap, labels", [
         ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("0", "")])

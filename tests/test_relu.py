@@ -226,6 +226,13 @@ class TestSymmetryReport:
             {(4, "cancelled-threshold"), (5, "cancelled-threshold")}
         assert r.admissible and r.type_label == "I"
 
+    def test_cancelled_pair_with_a_negative_fractional_weight(self):
+        # both thresholds are 1/3; the jumps 2 * 3/2 and -1 * 3 cancel
+        units = EXAMPLE_UNITS + (("-3/2", "1/2", 2), (3, -1, -1))
+        r = symmetry_report(ReLUNetwork(3, 0, units))
+        assert [(d.index, d.reason) for d in r.dead_units] == \
+            [(4, "cancelled-threshold"), (5, "cancelled-threshold")]
+
     def test_inadmissible_network(self):
         r = symmetry_report(ReLUNetwork(2, 0, ()))
         assert not r.admissible and r.type_label is None and r.aut is None

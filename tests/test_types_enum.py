@@ -8,7 +8,7 @@ import pytest
 from tropmaps import (SlopeSequence, canonical_type, enumerate_types,
                       registry_d3, registry_sequence)
 from tropmaps.rational import _bounded_echo
-from tropmaps.types_enum import _D3_LABELS, _admissibility_reasons
+from tropmaps.types_enum import _D3_LABELS, _admissibility_reasons, canonical_sequences
 
 THEOREM_SEQUENCES = {
     4: {(3, 4, 5, 4, 3), (3, 4, 3, 4, 3), (3, 4, 3, 2, 3),
@@ -97,6 +97,19 @@ class TestEnumeration:
                 assert t.representative is t.canonical
                 assert t.label == (_D3_LABELS[s] if degree == 3 else None)
                 assert canonical_type(t.canonical) == t
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_canonical_sequences_come_sorted_and_admissible(self, degree):
+        # sorting by length alone keeps the search's lexicographic order
+        got = canonical_sequences(degree)
+        assert got == sorted(got, key=lambda q: (-len(q), q))
+        assert not any(_admissibility_reasons(degree, q) for q in got)
+
+    @pytest.mark.parametrize("search", [canonical_sequences, enumerate_types])
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_must_be_positive(self, search, degree):
+        with pytest.raises(ValueError, match="^degree must be positive$"):
+            search(degree)
 
     def test_leaves_no_cyclic_garbage(self):
         # cycles are freed only by the collector, which a long search
