@@ -5,13 +5,16 @@ increasing rational break points, one slope per maximal linear segment
 (one more slope than break points), and the value at the first break
 point (at 0 for break-free maps).  Continuity holds by construction;
 every other value is obtained by integrating the slopes from the anchor.
-The values at the break points are derived once per map, on first use,
-so each later evaluation is a bisection plus one multiply and one add.
+The values at the break points and the integer parts of the break points
+are derived once per map, on first use.  Each later evaluation bisects the
+integer parts as ints, compares Fractions only among the breaks that share
+the argument's integer part, and builds one Fraction from numerators and
+denominators.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -63,6 +66,12 @@ class TropicalMap(Record):
         and repr still see only the three fields.
         """
         return tuple(break_values(self))
+
+    @cached_property
+    def break_point_floors(self):
+        """The integer part (floor) of each break point, computed on first
+        use and kept in the instance __dict__ like break_point_values."""
+        return tuple([x.numerator // x.denominator for x in self.break_points])
 
 
 class TropicalPolynomial(Record):
@@ -126,6 +135,14 @@ def evaluate(m: TropicalMap, x):
     """Evaluate at an extended rational (parse_extended): a rational or +/-inf.
 
     Any other argument, a finite float or a bool included, raises InputError.
+    A finite x is placed by bisecting the breaks' integer parts as ints; only
+    the breaks that share x's integer part are compared as Fractions, so a map
+    whose breaks all share one integer part costs a Fraction bisection over
+    all of them.  x is read on the segment that ends at it or runs through it,
+    so at the first break it is the anchor value and the break values are not
+    derived.  The value is built as one Fraction from numerators and
+    denominators.  On a map whose breaks are not increasing it is some
+    segment's value, and never an error.
     """
     try:
         x = parse_extended(x)
@@ -137,10 +154,18 @@ def evaluate(m: TropicalMap, x):
             return x if s > 0 else -x
         # A flat end: the value at the last break, or else the anchor value.
         return m.break_point_values[-1] if x > 0 and m.break_points else m.anchor_value
-    if not m.break_points or x <= m.break_points[0]:
-        return m.anchor_value + m.slopes[0] * (x - _anchor_point(m.break_points))
-    j = bisect_right(m.break_points, x) - 1
-    return m.break_point_values[j] + m.slopes[j + 1] * (x - m.break_points[j])
+    breaks, floors = m.break_points, m.break_point_floors
+    xn, xd = x.numerator, x.denominator
+    f = xn // xd
+    lo = bisect_left(floors, f)
+    j = bisect_left(breaks, x, lo, bisect_right(floors, f, lo)) - 1
+    if j < 0:   # the left ray, or a map with no breaks
+        v, b, s = m.anchor_value, _anchor_point(breaks), m.slopes[0]
+    else:
+        v, b, s = m.break_point_values[j], breaks[j], m.slopes[j + 1]
+    vn, vd, bn, bd = v.numerator, v.denominator, b.numerator, b.denominator
+    sn, sd = s.numerator, s.denominator
+    return Fraction(vn * xd * bd * sd + sn * (xn * bd - bn * xd) * vd, vd * xd * bd * sd)
 
 
 def ramification(m: TropicalMap) -> RamificationProfile:

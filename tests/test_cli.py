@@ -266,6 +266,19 @@ class TestDeterminism:
         argv = [*argv, "--json"]
         assert call(argv) == call(argv)
 
+    def test_one_parser_serves_every_call(self, spy, monkeypatch):
+        parser = cli.build_parser()
+        builds = spy(cli._Parser, "__init__")
+        for argv in (["classify", "-", "--json"], ["eval", "-", "--at", "x"], ["nope"]):
+            call(argv, README_MAP)
+        assert builds == [] and cli.build_parser() is parser
+        # the shared parser still wraps its help to each call's terminal width
+        lines = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            lines.append(len(parser.format_help().splitlines()))
+        assert lines[0] > lines[1]
+
 
 INVALID_MAP = {"breaks": ["1", "0"], "slopes": [3, 4, 3], "anchor": "0"}
 

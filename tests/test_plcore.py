@@ -33,6 +33,29 @@ def valid_maps(draw):
     return TropicalMap(tuple(breaks), tuple(slopes), draw(RATIONALS))
 
 
+@st.composite
+def kernel_maps(draw):
+    """Ordered maps with up to 12 breaks and any slopes, non-integer Fractions
+    included: evaluate's kernel makes no use of validity."""
+    breaks = sorted(draw(st.lists(RATIONALS, unique=True, max_size=12)))
+    slope = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
+    slopes = draw(st.lists(slope, min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    return TropicalMap(tuple(breaks), tuple(slopes), draw(RATIONALS))
+
+
+def segment_walk(m, x):
+    """m(x) by walking the segments from the anchor in Fraction arithmetic."""
+    breaks, slopes = m.break_points, m.slopes
+    if not breaks or x <= breaks[0]:
+        return m.anchor_value + slopes[0] * (x - (breaks[0] if breaks else 0))
+    value = m.anchor_value
+    for a, b, s in zip(breaks, breaks[1:], slopes[1:]):
+        if x <= b:
+            return value + s * (x - a)
+        value += s * (b - a)
+    return value + slopes[-1] * (x - breaks[-1])
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("x,expected", [(2, 9), (-1, -3), (5, 21)])
     def test_example_values(self, example_map, x, expected):
@@ -102,6 +125,44 @@ class TestEvaluate:
             for y in (last, last + abs(c)):
                 assert evaluate(m, y) == net.evaluate(y)
 
+    @given(m=kernel_maps(), x=RATIONALS)
+    # all breaks in one unit interval
+    @example(TropicalMap((Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)),
+                         (1, 3, -2, 4, 0), Fraction(1, 7)), Fraction(2, 5))
+    # negative non-integral x and break: the integer part rounds toward -inf
+    @example(TropicalMap((Fraction(-1, 4),), (2, -3), 1), Fraction(-1, 8))
+    # an integer x equal to a break's integer part, left of that break
+    @example(TropicalMap((2, Fraction(5, 2)), (1, -1, 3), 0), 2)
+    # no breaks
+    @example(TropicalMap((), (Fraction(3, 2),), Fraction(1, 3)), Fraction(-7, 3))
+    # a non-integer slope; x just right of the first break reads its segment
+    @example(TropicalMap((Fraction(-3, 2), 0, Fraction(7, 3)),
+                         (Fraction(1, 2), Fraction(-4, 3), 2, Fraction(5, 3)),
+                         Fraction(-2, 5)), Fraction(-7, 5))
+    def test_integer_kernel_against_a_segment_walk(self, m, x):
+        # at x, at each break, at each break's integer part, and just left of
+        # the first break
+        points = [x, *m.break_points, *(math.floor(b) for b in m.break_points)]
+        if m.break_points:
+            points.append(m.break_points[0] - Fraction(1, 10**9))
+        for y in points:
+            got = evaluate(m, y)
+            assert got == segment_walk(m, y) and type(got) is Fraction
+
+    def test_distinct_integer_parts_cost_one_comparison(self, spy):
+        # one break in each unit interval [i, i+1): x's integer part finds it
+        m = TropicalMap(tuple(i + Fraction(1, 3) for i in range(-1000, 1000)),
+                        tuple(3 + i % 2 for i in range(2001)), Fraction(1, 7))
+        evaluate(m, 0)   # the break values and integer parts, outside the count
+        counted = [spy(Fraction, name) for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")]
+        made = []
+        for n in range(-4010, 4010, 7):   # x = n/4, with and without a break in its interval
+            evaluate(m, Fraction(n, 4))
+            made.append(sum(map(len, counted)))
+            for calls in counted:
+                calls.clear()
+        assert max(made) == 1
+
     @given(breaks=st.lists(RATIONALS, max_size=7),
            slopes=st.lists(st.integers(-5, 5), max_size=7))
     @example(breaks=[0, 1, 2], slopes=[3, 4])
@@ -131,16 +192,29 @@ class TestBreakValueCache:
         calls = spy(plcore, "break_values")
         m = self.big_map()
         assert calls == []  # built, not yet evaluated: nothing computed
+        evaluate(m, m.break_points[0] - 1)
+        evaluate(m, m.break_points[0])
+        assert calls == []  # up to the first break the anchor serves
         xs = m.break_points[::20]
         got = [evaluate(m, x) for x in xs]
         assert len(calls) == 1
         assert got == real(m)[::20]
+
+    def test_floor_index_is_built_once_on_first_use(self, spy):
+        calls = spy(TropicalMap.__dict__["break_point_floors"], "func")
+        m = self.big_map()
+        assert calls == []
+        for x in m.break_points[::20]:
+            evaluate(m, x)
+        assert len(calls) == 1
+        assert m.break_point_floors == tuple(math.floor(b) for b in m.break_points)
 
     def test_cache_is_invisible(self):
         m = self.big_map()
         fresh = TropicalMap(m.break_points, m.slopes, m.anchor_value)
         seen = (hash(m), repr(m))
         evaluate(m, 5)
+        assert {"break_point_values", "break_point_floors"} <= set(vars(m))
         assert m == fresh and fresh == m
         assert (hash(m), repr(m)) == seen == (hash(fresh), repr(fresh))
         assert m._fields == ("break_points", "slopes", "anchor_value")

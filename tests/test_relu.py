@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from tropmaps import cli, relu
+from tropmaps import relu
 from tropmaps import (ReLUNetwork, TropicalMap, evaluate, maps_equal,
                       map_to_network, network_to_map, registry_d3,
                       registry_sequence, symmetry_report)
@@ -148,8 +148,6 @@ class TestIntegerFold:
         assert relu._folded_terms(net) == fraction_fold(net)
 
     def test_from_relu_writes_what_the_fraction_fold_gives(self, monkeypatch, spy):
-        parser = cli.build_parser()   # built once for all 2,000 calls
-        monkeypatch.setattr(cli, "build_parser", lambda: parser)
         nets = [random_network(random.Random(seed)) for seed in range(1000)]
         written = [call(["from-relu", "-", "--json"], net) for net in nets]
         monkeypatch.setattr(relu, "_folded_terms", fraction_fold)
