@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from tropmaps import cli
 from conftest import README_MAP, README_NET, README_POINT, call
 
 CORPUS = Path(__file__).with_name("cli_golden.jsonl")
@@ -162,6 +163,15 @@ CALLS = [
     *_both(["strata", "--type", "IX"]),
     *_json(["strata", "--type", "XI"]),
     *_json(["strata", "--type=" + "Z" * 5000]),
+
+    # argparse's own text: no command, help, an abbreviated flag, a leftover
+    # argument, and a token after "--"
+    ([], None),
+    (["-h"], None),
+    *[([row[0], "-h"], None) for row in cli.COMMANDS],
+    (["types", "--deg", "3", "--json"], None),
+    (["types", "--degree", "3", "zz"], None),
+    (["eval", "-", "--at", "2", "--json", "--", "x"], json.dumps(README_MAP)),
 ]
 
 
