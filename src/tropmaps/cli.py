@@ -294,18 +294,41 @@ def _parser():
         description="Degree-3 tropical rational maps: types, moduli, "
                     "Hurwitz fibers, compactification, ReLU bridge.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_, arguments, decode, op, encode, human in COMMANDS:
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--json", action="store_true", help="JSON output")
-        for arg in arguments:
-            if isinstance(arg, list):
-                group = p.add_mutually_exclusive_group(required=True)
-                for flag, kwargs in arg:
-                    group.add_argument(flag, **kwargs)
-            else:
-                p.add_argument(arg[0], **arg[1])
-        p.set_defaults(func=_runner(decode, op, encode, human))
+    for name, help_, *row in COMMANDS:
+        _add_row(sub.add_parser(name, help=help_), *row)
     return parser
+
+
+@cache
+def _command_parser(name):
+    """One subcommand's parser alone, the subparser that _parser adds for it."""
+    parser = _Parser(prog="tropmaps " + name)
+    parser.set_defaults(command=name)
+    _add_row(parser, *next(row[2:] for row in COMMANDS if row[0] == name))
+    return parser
+
+
+def _add_row(p, arguments, decode, op, encode, human):
+    p.add_argument("--json", action="store_true", help="JSON output")
+    for arg in arguments:
+        if isinstance(arg, list):
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in arg:
+                group.add_argument(flag, **kwargs)
+        else:
+            p.add_argument(arg[0], **arg[1])
+    p.set_defaults(func=_runner(decode, op, encode, human))
+
+
+def _parse(argv):
+    """A call that its own subcommand's parser reads to the end needs no other
+    parser.  Anything else (no command or an unknown one, a leading -h, a
+    leftover argument) goes to the full parser, which writes its usual text."""
+    if argv and argv[0] in {row[0] for row in COMMANDS}:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _report(exc):
@@ -316,7 +339,7 @@ def _report(exc):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         try:
             args.func(args)
             return 0

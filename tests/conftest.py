@@ -77,13 +77,14 @@ def python(argv, stdout=subprocess.PIPE, **env):
 def spy(monkeypatch):
     """spy(owner, name) wraps owner.name, and every binding of the same
     function in a tropmaps module, for the rest of the test; it returns the
-    list of the argument tuples of its calls."""
+    list of the argument tuples of its calls.  A call with keyword arguments
+    has the dict of them as its tuple's last entry."""
     def install(owner, name):
         calls, original = [], getattr(owner, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(*args, **kwargs):
+            calls.append((*args, kwargs) if kwargs else args)
+            return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "tropmaps" and vars(module).get(name) is original:

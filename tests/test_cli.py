@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropmaps import TropicalMap, cli, moduli, moduli_point, types_enum
 from conftest import README_MAP, README_NET, README_POINT, call, python
@@ -267,17 +271,88 @@ class TestDeterminism:
         assert call(argv) == call(argv)
 
     def test_one_parser_serves_every_call(self, spy, monkeypatch):
-        parser = cli.build_parser()
+        for cached in (cli._parser, cli._command_parser):   # as in a fresh process
+            cached.cache_clear()
         builds = spy(cli._Parser, "__init__")
-        for argv in (["classify", "-", "--json"], ["eval", "-", "--at", "x"], ["nope"]):
-            call(argv, README_MAP)
-        assert builds == [] and cli.build_parser() is parser
+        argvs = (["classify", "-", "--json"], ["eval", "-", "--at", "x"], ["nope"])
+        for _ in range(2):
+            assert [call(argv, README_MAP)[0] for argv in argvs] == [0, 2, 2]
+        # each command's parser once, then the full parser for the unknown
+        # command, built once and shared by every later call
+        assert [kwargs["prog"] for *_, kwargs in builds] == [
+            "tropmaps classify", "tropmaps eval", "tropmaps",
+            *("tropmaps " + row[0] for row in cli.COMMANDS)]
+        parser = cli.build_parser()
+        assert len(builds) == 17 and cli.build_parser() is parser
         # the shared parser still wraps its help to each call's terminal width
         lines = []
         for columns in ("40", "120"):
             monkeypatch.setenv("COLUMNS", columns)
             lines.append(len(parser.format_help().splitlines()))
         assert lines[0] > lines[1]
+
+
+def full_parse(argv):
+    """What cli._parse gives when the full parser reads every call."""
+    return cli.build_parser().parse_args(argv)
+
+
+def parsed(parse, argv):
+    """vars() of parse(argv) without func, or None when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parse(argv))
+        except SystemExit:
+            return None
+    del args["func"]
+    return args
+
+
+FLAGS = sorted({"--json", *(flag for row in cli.COMMANDS for arg in row[2]
+                            for flag, _ in (arg if isinstance(arg, list) else [arg])
+                            if flag.startswith("-"))})
+VALUES = st.sampled_from(["3", "-1", "x", "-", "0,1,2,3", "II", "1/2", ""])
+# no digit in junk: a drawn `types --degree 8` would list 235,734 types
+TOKENS = st.one_of(
+    st.sampled_from([row[0] for row in cli.COMMANDS]), st.sampled_from(FLAGS),
+    st.builds(lambda flag, n: flag[:n], st.sampled_from(FLAGS), st.integers(1, 9)),
+    st.sampled_from(["-h", "--json", "--"]), VALUES,
+    st.builds("{}={}".format, st.sampled_from(FLAGS), VALUES),
+    st.text(alphabet="-=,xz", max_size=4))
+# one call of each row that parses
+WELL_FORMED = [["types", "--degree", "3"], ["eval", "-", "--at", "2"],
+               ["degenerate", "-", "--merge", "1"], ["hurwitz", "--distances", "4,10,4"],
+               ["strata", "--type", "II"],
+               *([row[0], "-"] for row in cli.COMMANDS if row[2][0] is cli.INPUT)]
+
+
+@st.composite
+def edited_calls(draw):
+    """A well-formed call with up to three edits: a token deleted, or one or
+    two inserted."""
+    argv = list(draw(st.sampled_from(WELL_FORMED)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        i = draw(st.integers(0, len(argv)))
+        if i < len(argv) and draw(st.booleans()):
+            del argv[i]
+        else:
+            argv[i:i] = draw(st.lists(TOKENS, min_size=1, max_size=2))
+    return argv
+
+
+class TestParsePaths:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=edited_calls())
+    @example(argv=[])
+    @example(argv=["types", "--deg", "3"])
+    @example(argv=["types", "--degree", "3", "zz"])
+    @example(argv=["eval", "-", "--at", "2", "--", "x"])
+    @example(argv=["hurwitz", "--branch=0,1,2,3", "-h"])
+    def test_the_command_parser_agrees_with_the_full_parser(self, argv):
+        with mock.patch.object(cli, "_parse", full_parse):
+            expected = call(argv, README_MAP)
+        assert call(argv, README_MAP) == expected
+        assert parsed(cli._parse, argv) == parsed(full_parse, argv)
 
 
 INVALID_MAP = {"breaks": ["1", "0"], "slopes": [3, 4, 3], "anchor": "0"}
