@@ -109,6 +109,16 @@ class TestEvaluate:
             evaluate(example_map, x)
 
     @given(m=valid_maps(), x=RATIONALS, c=RATIONALS)
+    # explicit cases of the floor bisection, so a wrong one fails without
+    # minutes of shrinking 40-break maps: breaks that share one integer part
+    @example(TropicalMap((Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)),
+                         (3, 4, 5, 4, 3), Fraction(1, 7)), Fraction(2, 5), Fraction(1, 3))
+    # x on a break
+    @example(TropicalMap((0, 1, 3, 4), (3, 4, 5, 4, 3), 0), 3, Fraction(1, 2))
+    # x just left of the first break, in its unit interval
+    @example(TropicalMap((Fraction(5, 2), 3), (1, 2, -1), 2), Fraction(7, 3), Fraction(1, 12))
+    # negative non-integral x and break: the integer part rounds toward -inf
+    @example(TropicalMap((Fraction(-1, 4),), (2, -3), 1), Fraction(-1, 2), Fraction(1, 2))
     def test_against_relu_oracle(self, m, x, c):
         assert validate(m).ok
         net = map_to_network(m)
