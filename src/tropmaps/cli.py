@@ -321,9 +321,8 @@ def _add_row(p, arguments, decode, op, encode, human):
 
 
 def _parse(argv):
-    """A call that its own subcommand's parser reads to the end needs no other
-    parser.  Anything else (no command or an unknown one, a leading -h, a
-    leftover argument) goes to the full parser, which writes its usual text."""
+    """argv parsed by its own subcommand's parser if that reads every argument,
+    else by the full parser: no or an unknown command, a leading -h, a leftover."""
     if argv and argv[0] in {row[0] for row in COMMANDS}:
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
