@@ -82,17 +82,13 @@ def _types(degree, max_breaks):
                          else "degree must be at most %d" % _MAX_DEGREE)
     if max_breaks is not None and max_breaks < 0:
         raise InputError("max-breaks must be at least 0")
-    if degree != 3:   # the search proves each tuple admissible: no type objects needed
-        return [{"label": None, "slopes": list(q), "palindromic": types_enum._is_palindrome(q),
-                 "k": len(q) - 1}
-                for q in types_enum.canonical_sequences(degree, max_breaks)]
-    return [_type_json(t) for t in types_enum.registry_d3()
-            if max_breaks is None or t.k <= max_breaks]
-
-
-def _type_json(t):
-    return {"label": t.label, "slopes": list(t.representative.slopes),
-            "palindromic": t.palindromic, "k": t.k}
+    if degree == 3:   # the registry's labelled sequences, in its order I-X
+        pairs = [(label, q) for label, q in types_enum._REGISTRY_D3
+                 if max_breaks is None or len(q) - 1 <= max_breaks]
+    else:   # the search proves each tuple admissible: no type objects needed
+        pairs = ((None, q) for q in types_enum.canonical_sequences(degree, max_breaks))
+    return [{"label": label, "slopes": list(q), "palindromic": types_enum._is_palindrome(q),
+             "k": len(q) - 1} for label, q in pairs]
 
 
 def _print_types(rows):
@@ -255,6 +251,7 @@ COMMANDS = (
      lambda a: (a.type, types_enum.registry_sequence(a.type)),
      lambda v: _strata(*v), None, _print_strata),
 )
+_ROWS = {row[0]: row for row in COMMANDS}
 
 
 def _runner(decode, op, encode, human):
@@ -281,34 +278,29 @@ class _Parser(argparse.ArgumentParser):
         print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
 
-def build_parser():
-    """The CLI's parser, built on the first call and shared after it:
-    parse_args keeps no state between calls."""
-    return _parser()
+def build_parser(command=None):
+    """The CLI's parser, or a subcommand's parser alone, each built on its first
+    call and shared after it: parse_args keeps no state between calls."""
+    return _parser(command)
 
 
 @cache   # build_parser stays a plain function, so perfbench's tracer still times the build
-def _parser():
+def _parser(command):
+    if command is not None:   # the subparser that the full parser adds for it
+        parser = _Parser(prog="tropmaps " + command)
+        _add_row(parser, command, *_ROWS[command][2:])
+        return parser
     parser = _Parser(
         prog="tropmaps",
         description="Degree-3 tropical rational maps: types, moduli, "
                     "Hurwitz fibers, compactification, ReLU bridge.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_, *row in COMMANDS:
-        _add_row(sub.add_parser(name, help=help_), *row)
+        _add_row(sub.add_parser(name, help=help_), name, *row)
     return parser
 
 
-@cache
-def _command_parser(name):
-    """One subcommand's parser alone, the subparser that _parser adds for it."""
-    parser = _Parser(prog="tropmaps " + name)
-    parser.set_defaults(command=name)
-    _add_row(parser, *next(row[2:] for row in COMMANDS if row[0] == name))
-    return parser
-
-
-def _add_row(p, arguments, decode, op, encode, human):
+def _add_row(p, command, arguments, decode, op, encode, human):
     p.add_argument("--json", action="store_true", help="JSON output")
     for arg in arguments:
         if isinstance(arg, list):
@@ -317,14 +309,14 @@ def _add_row(p, arguments, decode, op, encode, human):
                 group.add_argument(flag, **kwargs)
         else:
             p.add_argument(arg[0], **arg[1])
-    p.set_defaults(func=_runner(decode, op, encode, human))
+    p.set_defaults(command=command, func=_runner(decode, op, encode, human))
 
 
 def _parse(argv):
     """argv parsed by its own subcommand's parser if that reads every argument,
     else by the full parser: no or an unknown command, a leading -h, a leftover."""
-    if argv and argv[0] in {row[0] for row in COMMANDS}:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if argv and argv[0] in _ROWS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)

@@ -53,8 +53,10 @@ class TestTypes:
         for cap in [None, *range(2 * degree - 1)]:
             argv = ["types", "--degree", str(degree), "--json"]
             code, out, _ = call(argv + ([] if cap is None else ["--max-breaks", str(cap)]))
-            assert code == 0 and json.loads(out) == \
-                [cli._type_json(t) for t in types_enum.enumerate_types(degree, cap)]
+            assert code == 0 and json.loads(out) == [
+                {"label": t.label, "slopes": list(t.representative.slopes),
+                 "palindromic": t.palindromic, "k": t.k}
+                for t in types_enum.enumerate_types(degree, cap)]
 
     def test_degree7_bytes(self):
         # the golden corpus holds no listing this large
@@ -271,8 +273,7 @@ class TestDeterminism:
         assert call(argv) == call(argv)
 
     def test_one_parser_serves_every_call(self, spy, monkeypatch):
-        for cached in (cli._parser, cli._command_parser):   # as in a fresh process
-            cached.cache_clear()
+        cli._parser.cache_clear()   # as in a fresh process
         builds = spy(cli._Parser, "__init__")
         argvs = (["classify", "-", "--json"], ["eval", "-", "--at", "x"], ["nope"])
         for _ in range(2):
@@ -290,6 +291,13 @@ class TestDeterminism:
             monkeypatch.setenv("COLUMNS", columns)
             lines.append(len(parser.format_help().splitlines()))
         assert lines[0] > lines[1]
+
+    def test_every_build_goes_through_build_parser(self, spy):
+        # the one function perfbench's tracer times a build by
+        builds = spy(cli, "build_parser")
+        assert call(["classify", "-", "--json"], README_MAP)[0] == 0
+        assert call(["nope"])[0] == 2
+        assert builds == [("classify",), ()]
 
 
 def full_parse(argv):
@@ -422,6 +430,13 @@ class TestErrorCodes:
             code, out, err = call(["aut", "-", "--json"], README_POINT)
             assert (code, out) == (3, "") and "Traceback" not in err
             assert json.loads(err) == {"error": "internal-error", "detail": detail}
+
+    def test_uncoded_value_error_is_a_domain_error(self, monkeypatch):
+        def rejecting(p):
+            raise ValueError("boom")
+        monkeypatch.setattr(moduli, "automorphisms", rejecting)
+        assert call(["aut", "-", "--json"], README_POINT) == (
+            1, '{"error": "domain-error", "detail": "boom"}\n', "")
 
     def test_closed_stdout_exits_as_sigpipe(self):
         """A reader that stops after 10 bytes: nothing on stderr, and exit 141

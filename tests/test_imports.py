@@ -146,7 +146,8 @@ def test_a_cli_call_imports_no_dataclasses():
             "from tropmaps import cli\n"
             "cli.main(['eval', '-', '--at', '1/2', '--json'])\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    with python(["-c", code]) as proc:
+    # -S: no site start-up, so only what tropmaps and the call import counts
+    with python(["-S", "-c", code]) as proc:
         out, _ = proc.communicate(json.dumps(README_MAP).encode())
     assert (proc.returncode, out.decode().splitlines()) == (0, ['{"value": "2"}', "[]"])
 

@@ -174,7 +174,9 @@ class TestMapToNetwork:
                 gaps = tuple(random_fraction(rng) for _ in range(seq.k - 1))
                 m = representative_map(
                     ModuliPoint(seq, gaps, random_fraction(rng, -20, 20)))
-                assert maps_equal(network_to_map(map_to_network(m)).map, m)
+                net = map_to_network(m)
+                assert len(net.units) == m.k == seq.k   # one unit per break
+                assert maps_equal(network_to_map(net).map, m)
 
     @given(anchor=st.fractions(max_denominator=30),
            pos=st.fractions(max_denominator=30))
