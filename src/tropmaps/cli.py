@@ -15,6 +15,7 @@ import os
 import sys
 from collections import Counter
 from functools import cache
+from itertools import islice
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
 from .errors import DomainError, InputError, TropmapsError, decoder
@@ -77,24 +78,43 @@ _MAX_DEGREE = 8   # types: d=8 lists 235,734 types, each degree costs about 8x m
 
 
 def _types(degree, max_breaks):
+    """The (label, slopes) pair of each type, in the order the listing prints."""
     if not 1 <= degree <= _MAX_DEGREE:
         raise InputError("degree must be positive" if degree < 1
                          else "degree must be at most %d" % _MAX_DEGREE)
     if max_breaks is not None and max_breaks < 0:
         raise InputError("max-breaks must be at least 0")
     if degree == 3:   # the registry's labelled sequences, in its order I-X
-        pairs = [(label, q) for label, q in types_enum._REGISTRY_D3
-                 if max_breaks is None or len(q) - 1 <= max_breaks]
-    else:   # the search proves each tuple admissible: no type objects needed
-        pairs = ((None, q) for q in types_enum.canonical_sequences(degree, max_breaks))
-    return [{"label": label, "slopes": list(q), "palindromic": types_enum._is_palindrome(q),
-             "k": len(q) - 1} for label, q in pairs]
+        return [(label, q) for label, q in types_enum._REGISTRY_D3
+                if max_breaks is None or len(q) - 1 <= max_breaks]
+    # the search proves each tuple admissible: no type objects needed
+    return ((None, q) for q in types_enum.canonical_sequences(degree, max_breaks))
 
 
-def _print_types(rows):
-    for r in rows:
-        print("%-5s k=%d  %s%s" % (r["label"] or "-", r["k"], tuple(r["slopes"]),
-                                   "  (palindromic)" if r["palindromic"] else ""))
+def _print_types(pairs):
+    for label, q in pairs:
+        print("%-5s k=%d  %s%s" % (label or "-", len(q) - 1, q,
+                                   "  (palindromic)" if types_enum._is_palindrome(q) else ""))
+
+
+_TYPE_ROW = '{"label": %s, "slopes": %s, "palindromic": %s, "k": %d}'
+_ROWS_PER_WRITE = 4096
+_label_json = cache(json.dumps)   # each label's JSON text, rendered once
+
+
+def _dump_types(pairs):
+    """types --json: the bytes json.dumps gives for the rows, written as they
+    are rendered, a fixed number of rows at a time.  `%s` of a list of ints
+    prints it as json.dumps does."""
+    is_palindrome = types_enum._is_palindrome
+    rows = (_TYPE_ROW % (_label_json(label), list(q), "true" if is_palindrome(q) else "false",
+                         len(q) - 1) for label, q in pairs)
+    sys.stdout.write("[")
+    sep = ""
+    while chunk := ", ".join(islice(rows, _ROWS_PER_WRITE)):
+        sys.stdout.write(sep + chunk)
+        sep = ", "
+    sys.stdout.write("]\n")
 
 
 def _classify(m):
@@ -199,14 +219,16 @@ INPUT = ("input", {"help": "JSON file path, or - for stdin"})
 
 # One row per subcommand: name, help, arguments, decode(args) -> value,
 # op(value) -> result, encode(result) -> payload (None: the result is the
-# payload), human(payload).  An argument is a (flag, kwargs) pair; a list
-# of them is a required choice of exactly one.  Rows look library
-# functions up when they run, so rebinding a module attribute reaches them.
+# payload), human(payload), and optionally dump(payload), what --json
+# writes (by default one json.dumps line).  An argument is a (flag, kwargs)
+# pair; a list of them is a required choice of exactly one.  Rows look
+# library functions up when they run, so rebinding a module attribute
+# reaches them.
 COMMANDS = (
     ("types", "enumerate combinatorial types",
      [("--degree", {"type": int, "required": True}),
       ("--max-breaks", {"type": int, "default": None})],
-     lambda a: (a.degree, a.max_breaks), lambda v: _types(*v), None, _print_types),
+     lambda a: (a.degree, a.max_breaks), lambda v: _types(*v), None, _print_types, _dump_types),
     ("classify", "validate a map and identify its type", [INPUT],
      _map, _classify, None, _print_kv),
     ("eval", "evaluate a map at a point",
@@ -254,7 +276,11 @@ COMMANDS = (
 _ROWS = {row[0]: row for row in COMMANDS}
 
 
-def _runner(decode, op, encode, human):
+def _print_json(payload):
+    print(json.dumps(payload))
+
+
+def _runner(decode, op, encode, human, dump):
     """args.func of one row.  Coded errors pass through; any other error of
     the decode step is malformed input."""
     decode = decoder(decode)
@@ -263,10 +289,7 @@ def _runner(decode, op, encode, human):
         result = op(decode(args))
         payload = result if encode is None else encode(result)
         try:
-            if args.json:
-                print(json.dumps(payload))
-            else:
-                human(payload)
+            (dump if args.json else human)(payload)
             sys.stdout.flush()   # a closed stdout shows here, not in the exit's own flush
         except ValueError:   # an int past the interpreter's int-string digit limit
             raise _too_large() from None
@@ -300,7 +323,7 @@ def _parser(command):
     return parser
 
 
-def _add_row(p, command, arguments, decode, op, encode, human):
+def _add_row(p, command, arguments, decode, op, encode, human, dump=_print_json):
     p.add_argument("--json", action="store_true", help="JSON output")
     for arg in arguments:
         if isinstance(arg, list):
@@ -309,7 +332,7 @@ def _add_row(p, command, arguments, decode, op, encode, human):
                 group.add_argument(flag, **kwargs)
         else:
             p.add_argument(arg[0], **arg[1])
-    p.set_defaults(command=command, func=_runner(decode, op, encode, human))
+    p.set_defaults(command=command, func=_runner(decode, op, encode, human, dump))
 
 
 def _parse(argv):

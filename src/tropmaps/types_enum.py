@@ -143,22 +143,32 @@ def registry_sequence(label: str) -> SlopeSequence:
     return _TYPES_D3[label].representative
 
 
-def _extend(out, degree, max_breaks, slopes, s, remaining):
-    """Append to `out` every canonical admissible completion of `slopes`
-    with at most max_breaks breaks in all.  The sequence ends at slope s
-    with `remaining` of the variation budget 2d-2 left; each step spends
-    |jump| of it and must leave enough to return to slope d."""
-    if remaining == 0:   # then s == d: the walk is back home
-        if len(slopes) <= max_breaks + 1 and slopes <= slopes[::-1]:
-            out.append(slopes)
-        return
-    if len(slopes) > max_breaks:
-        return
-    # |t - s| + |d - t| <= remaining, solved for t; the bounds are whole
-    # because remaining - |s - d| stays even
-    for t in range(max(1, (s + degree - remaining) // 2), (s + degree + remaining) // 2 + 1):
-        if t != s:
-            _extend(out, degree, max_breaks, slopes + (t,), t, remaining - abs(t - s))
+def _moves(degree):
+    """moves[s][remaining]: each next slope t after slope s, ascending, with
+    the budget it leaves.  A step spends |t - s| of the variation budget and
+    must leave enough to return to slope d: |t - s| + |d - t| <= remaining,
+    solved for t; the bounds are whole because remaining - |s - d| stays
+    even on every entry the search reads."""
+    budget = 2 * degree - 2
+    return [[[(t, rem - abs(t - s))
+              for t in range(max(1, (s + degree - rem) // 2), (s + degree + rem) // 2 + 1)
+              if t != s]
+             for rem in range(budget + 1)]
+            for s in range(2 * degree)]   # no slope exceeds d + (d - 1)
+
+
+def _extend(out, moves, max_breaks, slopes, s, remaining):
+    """Append to `out` every canonical admissible completion, with at most
+    max_breaks breaks in all, of `slopes`, which ends at slope s with
+    `remaining` > 0 of the budget left.  A step that spends all of it ends
+    at slope d and completes the sequence."""
+    for t, left in moves[s][remaining]:
+        q = slopes + (t,)
+        if left == 0:
+            if q <= q[::-1]:
+                out.append(q)
+        elif len(q) <= max_breaks:   # room for the break at t and one more
+            _extend(out, moves, max_breaks, q, t, left)
 
 
 def canonical_sequences(degree: int, max_breaks: int | None = None):
@@ -175,11 +185,11 @@ def canonical_sequences(degree: int, max_breaks: int | None = None):
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    cap = 2 * degree - 2
-    if max_breaks is not None:
-        cap = min(cap, max_breaks)
-    found = []
-    _extend(found, degree, cap, (degree,), degree, 2 * degree - 2)
+    budget = 2 * degree - 2
+    cap = budget if max_breaks is None else min(budget, max_breaks)
+    # degree 1's one sequence, (1,), has no break: no step of the search makes it
+    found = [(degree,)] if budget == 0 and cap >= 0 else []
+    _extend(found, _moves(degree), cap, (degree,), degree, budget)
     found.sort(key=len, reverse=True)
     return found
 

@@ -65,6 +65,21 @@ class TestTypes:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "58588534a1ed1001cb738deea1783e176df9bf1de32a9ac53edcac732a7fc069"
 
+    def test_json_rows_are_written_a_chunk_at_a_time(self):
+        # the listing is never held whole: each write carries at most one
+        # chunk of rows, so degree 7's 28,338 rows take several writes
+        class Recording(io.StringIO):
+            def write(self, text):
+                rows.append(text.count('{"label": '))
+                return super().write(text)
+        rows, out = [], Recording()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["types", "--degree", "7", "--json"]) == 0
+        assert len(out.getvalue()) == 2_518_980
+        chunks = [n for n in rows if n]
+        assert sum(chunks) == 28_338 and len(chunks) > 1
+        assert max(chunks) <= cli._ROWS_PER_WRITE
+
     @pytest.mark.parametrize("cap, labels", [
         ("4", "I II III IV V VI VII VIII IX X"), ("3", "VI VII VIII IX X"), ("0", "")])
     def test_degree3_cap_filters_the_registry(self, cap, labels):
@@ -442,6 +457,13 @@ class TestErrorCodes:
         """A reader that stops after 10 bytes: nothing on stderr, and exit 141
         (128 + SIGPIPE), what a shell reports for `cat` cut off the same way."""
         with python(["-m", "tropmaps.cli", "types", "--degree", "6"]) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait()) == (b"", 141)
+
+    def test_closed_stdout_exits_as_sigpipe_json(self):
+        # the listing fails in one of its own writes, not in the final flush
+        with python(["-m", "tropmaps.cli", "types", "--degree", "6", "--json"]) as proc:
             assert len(proc.stdout.read(10)) == 10
             proc.stdout.close()
             assert (proc.stderr.read(), proc.wait()) == (b"", 141)

@@ -1,6 +1,7 @@
 import gc
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -56,6 +57,30 @@ def oracle_types(degree):
     return canon
 
 
+@cache
+def _walks(degree, s, budget, breaks, home):
+    """Slope walks from slope s that spend exactly `budget` of variation in
+    at most `breaks` nonzero jumps with every slope >= 1, and end at slope
+    `degree` if `home`, anywhere otherwise."""
+    if breaks < 0:
+        return 0
+    if budget == 0:
+        return int(s == degree or not home)
+    return sum(_walks(degree, t, budget - abs(t - s), breaks - 1, home)
+               for t in range(max(1, s - budget), s + budget + 1) if t != s)
+
+
+def oracle_count(degree, cap=None):
+    """Counting oracle: the number of types up to reversal, by Burnside's
+    lemma over reversal, (sequences + palindromes) / 2, with no listing.  A
+    palindrome has an even number 2m of breaks (an odd one would repeat its
+    middle slope) and is its first half: m breaks spending d - 1."""
+    cap = 2 * degree - 2 if cap is None else cap
+    sequences = _walks(degree, degree, 2 * degree - 2, cap, True)
+    palindromes = _walks(degree, degree, degree - 1, cap // 2, False)
+    return (sequences + palindromes) // 2
+
+
 class TestEnumeration:
     def test_degree3_matches_theorem_list(self):
         types = enumerate_types(3)
@@ -104,6 +129,15 @@ class TestEnumeration:
         got = canonical_sequences(degree)
         assert got == sorted(got, key=lambda q: (-len(q), q))
         assert not any(_admissibility_reasons(degree, q) for q in got)
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_counting_oracle_at_every_cap(self, degree):
+        for cap in [None, *range(-1, 2 * degree - 1)]:
+            assert len(canonical_sequences(degree, cap)) == oracle_count(degree, cap)
+
+    def test_counting_oracle_pins_the_largest_degrees(self):
+        # degree 8 is counted, not listed
+        assert (oracle_count(7), oracle_count(8)) == (28_338, 235_734)
 
     @pytest.mark.parametrize("search", [canonical_sequences, enumerate_types])
     @pytest.mark.parametrize("degree", [0, -1])
