@@ -97,18 +97,22 @@ def _print_types(pairs):
                                    "  (palindromic)" if types_enum._is_palindrome(q) else ""))
 
 
-_TYPE_ROW = '{"label": %s, "slopes": %s, "palindromic": %s, "k": %d}'
 _ROWS_PER_WRITE = 4096
-_label_json = cache(json.dumps)   # each label's JSON text, rendered once
+
+
+@cache
+def _row_template(label, n, palindromic):
+    """The JSON text of a row of this shape, its n slopes left as %d."""
+    return '{"label": %s, "slopes": [%s], "palindromic": %s, "k": %d}' % (
+        json.dumps(label), ", ".join(["%d"] * n), json.dumps(palindromic), n - 1)
 
 
 def _dump_types(pairs):
     """types --json: the bytes json.dumps gives for the rows, written as they
-    are rendered, a fixed number of rows at a time.  `%s` of a list of ints
-    prints it as json.dumps does."""
+    are rendered, a fixed number of rows at a time.  Each row fills its
+    shape's template with its slope tuple."""
     is_palindrome = types_enum._is_palindrome
-    rows = (_TYPE_ROW % (_label_json(label), list(q), "true" if is_palindrome(q) else "false",
-                         len(q) - 1) for label, q in pairs)
+    rows = (_row_template(label, len(q), is_palindrome(q)) % q for label, q in pairs)
     sys.stdout.write("[")
     sep = ""
     while chunk := ", ".join(islice(rows, _ROWS_PER_WRITE)):
