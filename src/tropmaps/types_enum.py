@@ -107,15 +107,15 @@ def _reversal_min(*parts):
     """The lexicographic minimum of the sequences `parts` and their
     simultaneous reversal, and whether that minimum is the reversal.  A
     palindromic tie keeps the forward orientation."""
-    backward = tuple(p[::-1] for p in parts)
+    backward = tuple([p[::-1] for p in parts])
     if backward < parts:
         return backward, True
     return parts, False
 
 
 # Label of each orientation of each registry sequence.  Its fourteen keys
-# are exactly the admissible degree-3 slope tuples, so a degree-3 tuple
-# has a label if and only if it is admissible.
+# are exactly the admissible degree-3 slope tuples; an admissible tuple
+# starts with its degree, so it has a label if and only if its degree is 3.
 _D3_LABELS = {s: label for label, slopes in _REGISTRY_D3
               for s in (slopes, slopes[::-1])}
 
@@ -123,7 +123,7 @@ _D3_LABELS = {s: label for label, slopes in _REGISTRY_D3
 def canonical_type(seq: SlopeSequence) -> CombinatorialType:
     """Reversal class of a sequence: lexicographic minimum of it and its reversal."""
     (canon,), reversed_ = _reversal_min(seq.slopes)
-    label = _D3_LABELS.get(seq.slopes) if seq.degree == 3 else None
+    label = _D3_LABELS.get(seq.slopes)
     return CombinatorialType(SlopeSequence(seq.degree, canon) if reversed_ else seq,
                              _is_palindrome(seq.slopes), label, seq)
 
@@ -195,11 +195,6 @@ def canonical_sequences(degree: int, max_breaks: int | None = None):
 
 
 def enumerate_types(degree: int, max_breaks: int | None = None):
-    """All combinatorial types of the given degree, up to reversal, in the
-    order of `canonical_sequences`."""
-    labels = _D3_LABELS if degree == 3 else {}
-    types = []
-    for q in canonical_sequences(degree, max_breaks):
-        seq = SlopeSequence(degree, q)
-        types.append(CombinatorialType(seq, _is_palindrome(q), labels.get(q), seq))
-    return types
+    """All combinatorial types of `degree` up to reversal, in `canonical_sequences` order."""
+    return [canonical_type(SlopeSequence(degree, q))
+            for q in canonical_sequences(degree, max_breaks)]

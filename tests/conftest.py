@@ -13,7 +13,11 @@ import pytest
 
 from tropmaps import TropicalMap, cli
 
-COLUMNS = "80"  # argparse wraps its usage lines to the terminal width
+# The terminal width of every in-process CLI call.  argparse wraps its usage
+# and help lines to this width, and how it wraps them differs between Python
+# versions (3.13 breaks usage lines where 3.10-3.12 do not), so the calls
+# run at a width where no line of theirs wraps.
+COLUMNS = "200"
 
 # The README's map of type (3,4,5,4,3), its moduli point, and the network
 # `to-relu` writes for it.
@@ -48,13 +52,14 @@ def random_fraction(rng: random.Random, lo=1, hi=60, den=12):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
-def call(argv, stdin=None):
-    """(exit code, stdout, stderr) of one in-process cli.main call.  stdin is
-    the text to read, any other JSON value to read as JSON, or None."""
+def call(argv, stdin=None, columns=COLUMNS):
+    """(exit code, stdout, stderr) of one in-process cli.main call at a
+    terminal width of `columns`.  stdin is the text to read, any other JSON
+    value to read as JSON, or None."""
     if stdin is not None and not isinstance(stdin, str):
         stdin = json.dumps(stdin)
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS=COLUMNS), \
+    with mock.patch.dict(os.environ, COLUMNS=columns), \
             mock.patch("sys.stdin", io.StringIO(stdin or "")), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

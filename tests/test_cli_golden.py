@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from tropmaps import cli
-from conftest import README_MAP, README_NET, README_POINT, call
+from conftest import COLUMNS, README_MAP, README_NET, README_POINT, call
 
 CORPUS = Path(__file__).with_name("cli_golden.jsonl")
 
@@ -195,6 +195,14 @@ def test_corpus_lists_every_call():
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: " ".join(r["argv"])[:60])
 def test_golden(rec):
     assert record(rec["argv"], rec["stdin"]) == rec
+
+
+def test_no_row_depends_on_the_terminal_width():
+    # a row that argparse wraps at the corpus width would pin how this
+    # interpreter's argparse wraps, which differs between Python versions
+    wider = str(4 * int(COLUMNS))
+    assert [argv for argv, stdin in CALLS
+            if call(argv, stdin, wider) != call(argv, stdin)] == []
 
 
 if __name__ == "__main__":
