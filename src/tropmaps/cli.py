@@ -181,11 +181,11 @@ def _stratum_json(s):
     }
 
 
-def _strata(label, seq):
+def _strata(seq):
     strata = compact.face_lattice(seq)
     census = Counter(s.codimension for s in strata)
     return {
-        "type": label,
+        "type": types_enum._D3_LABELS[seq.slopes],
         "codimension_census": {str(c): census[c] for c in sorted(census)},
         "strata": [_stratum_json(s) for s in strata],
     }
@@ -274,8 +274,7 @@ COMMANDS = (
      _branch_configuration, _hurwitz, None, _print_hurwitz),
     ("strata", "face lattice of a maximal type's cube",
      [("--type", {"required": True, "help": "registry label I-V"})],
-     lambda a: (a.type, types_enum.registry_sequence(a.type)),
-     lambda v: _strata(*v), None, _print_strata),
+     lambda a: types_enum.registry_sequence(a.type), _strata, None, _print_strata),
 )
 _ROWS = {row[0]: row for row in COMMANDS}
 

@@ -63,21 +63,14 @@ def _coordinate_state(g):
     return OPEN
 
 
-def _merges(seq):
-    """Whether each of the three gaps closes by a valid merge."""
-    return seq.jumps_share_sign(1), seq.jumps_share_sign(2), seq.jumps_share_sign(3)
-
-
-def _stratum(seq, jumps, merges, states):
-    """The face of a four-break sequence with the given coordinate states;
-    `jumps` and `merges` are the sequence's, read once per sequence."""
-    collisions = tuple((i, VALID_MERGE if merges[i - 1] else REDUCED_VARIATION)
+def _stratum(seq, states):
+    """The face of a four-break sequence with the given coordinate states."""
+    collisions = tuple((i, VALID_MERGE if seq.jumps_share_sign(i) else REDUCED_VARIATION)
                        for i, st in enumerate(states, start=1) if st == ZERO)
     infinity = tuple(i for i, st in enumerate(states, start=1) if st == INFINITE)
     # Breaks i and i+1 sit at one position exactly when gap i is zero.
     at = accumulate((st != ZERO for st in states), initial=0)
-    _, slopes = _merge_kinks(seq.slopes[0], zip(at, jumps))
-    slopes = tuple(slopes)
+    slopes = tuple(_merge_kinks(seq.slopes[0], zip(at, seq.jumps))[1])
     label = _D3_LABELS.get(slopes)
     return BoundaryStratum(states, 3 - states.count(OPEN), collisions, infinity,
                            slopes, label is not None, label)
@@ -85,9 +78,7 @@ def _stratum(seq, jumps, merges, states):
 
 def classify_stratum(p: CompactifiedPoint) -> BoundaryStratum:
     """Coordinate states, collision tags, and the limit slope sequence."""
-    seq = p.seq
-    return _stratum(seq, seq.jumps, _merges(seq),
-                    tuple(map(_coordinate_state, p.extended_gaps)))
+    return _stratum(p.seq, tuple(map(_coordinate_state, p.extended_gaps)))
 
 
 def face_lattice(seq: SlopeSequence):
@@ -96,6 +87,5 @@ def face_lattice(seq: SlopeSequence):
     (zero, zero, zero), (zero, zero, open), ..., (infinite, infinite, infinite).
     The strata command and its golden output list the faces in this order."""
     _require_four_breaks(seq)
-    jumps, merges = seq.jumps, _merges(seq)
-    return [_stratum(seq, jumps, merges, states)
+    return [_stratum(seq, states)
             for states in product((ZERO, OPEN, INFINITE), repeat=3)]

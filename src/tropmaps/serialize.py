@@ -18,12 +18,12 @@ from .relu import ReLUNetwork
 from .types_enum import SlopeSequence
 
 
-SchemaError = InputError
+SchemaError = InputError   # read only by perfbench/ops.py:73; ROADMAP direction 5 deletes it
 
 
 def _require(obj, key):
     if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError("missing field %r" % key)
+        raise InputError("missing field %r" % key)
     return obj[key]
 
 
@@ -31,7 +31,7 @@ def _list(obj, key):
     """A list-valued field: a JSON string is not read as its characters."""
     value = _require(obj, key)
     if not isinstance(value, list):
-        raise SchemaError("field %r must be a JSON list" % key)
+        raise InputError("field %r must be a JSON list" % key)
     return value
 
 
@@ -94,5 +94,5 @@ def network_from_json(obj) -> ReLUNetwork:
 @decoder
 def polynomial_from_json(values) -> TropicalPolynomial:
     if not isinstance(values, list):
-        raise SchemaError("a polynomial must be a JSON list of coefficients")
+        raise InputError("a polynomial must be a JSON list of coefficients")
     return TropicalPolynomial(_no_floats(values))

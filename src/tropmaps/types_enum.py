@@ -9,6 +9,7 @@ exactly ten, labeled I-X.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 
 from .rational import _bounded_echo
@@ -57,15 +58,16 @@ class SlopeSequence(Record):
     def k(self):
         return len(self.slopes) - 1
 
-    @property
+    @cached_property
     def jumps(self):
+        """Slope change at each break, kept in __dict__ on first use: not a field."""
         return tuple(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
     def jumps_share_sign(self, i) -> bool:
         """Whether the jumps at breaks i and i+1 (gap i, 1-based) share a sign,
         so the breaks can collide without reducing the total variation."""
-        a, b, c = self.slopes[i - 1:i + 2]   # the jumps are b - a and c - b
-        return (b > a) == (c > b)
+        jumps = self.jumps   # no jump is zero
+        return (jumps[i - 1] > 0) == (jumps[i] > 0)
 
     def reversed_(self) -> "SlopeSequence":
         return SlopeSequence(self.degree, tuple(reversed(self.slopes)))

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropmaps import (BranchConfiguration, ModuliPoint,
-                      NonGenericConfiguration, branch_configuration,
-                      canonical_type, fiber, hurwitz_number, moduli_point,
+                      NonGenericConfiguration, automorphisms, branch_configuration,
+                      canonical_type, fiber, hurwitz_number, moduli, moduli_point,
                       quotient_source, registry_sequence)
 from conftest import random_fraction
+
+GAPS = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
 
 
 class TestQuotientSource:
@@ -115,3 +118,23 @@ class TestFiber:
             for e in fiber(b):
                 p = ModuliPoint(e.seq, e.gaps, 0)
                 assert branch_configuration(p).distances == b.distances
+
+    @settings(max_examples=60, deadline=None)
+    @given(label=st.sampled_from(["I", "II", "III", "IV", "V"]), flip=st.booleans(),
+           gaps=st.lists(GAPS, min_size=3, max_size=3), symmetric=st.booleans(),
+           position=st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    def test_a_point_lies_in_the_fiber_of_its_configuration(self, label, flip, gaps,
+                                                            symmetric, position):
+        # quotient_source(p) is left out: a reversed point's quotient lies in
+        # the fiber of the reversed distances, not of p's own
+        seq = registry_sequence(label)
+        if flip:
+            seq = seq.reversed_()
+        if symmetric:
+            gaps[2] = gaps[0]
+        p = ModuliPoint(seq, gaps, position)
+        b = branch_configuration(p)
+        assert (p.seq, p.gaps) in [(e.seq, e.gaps) for e in fiber(b)]
+        aut = automorphisms(p)
+        if aut.kind == moduli.Z2:   # the README's point: 18 = 4 + 10 + 4
+            assert aut.target_shift == sum(b.distances)

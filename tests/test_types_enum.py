@@ -283,3 +283,17 @@ class TestSlopeSequence:
         seq = SlopeSequence(3, (3, Fraction(4), 5, 4, 3))
         assert seq.slopes == (3, 4, 5, 4, 3)
         assert all(type(s) is int for s in seq.slopes)
+
+    def test_jump_cache_is_invisible(self):
+        seq, fresh = SlopeSequence(3, (3, 4, 3, 2, 3)), SlopeSequence(3, (3, 4, 3, 2, 3))
+        seen = (hash(seq), repr(seq))
+        jumps = seq.jumps
+        assert jumps == (1, -1, -1, 1) and "jumps" in vars(seq)
+        assert seq == fresh and fresh == seq
+        assert (hash(seq), repr(seq)) == seen == (hash(fresh), repr(fresh))
+        assert seq._fields == ("degree", "slopes")
+        with pytest.raises(AttributeError):
+            seq.jumps = (1, 1, -1, -1)
+        with pytest.raises(AttributeError):
+            del seq.jumps
+        assert seq.jumps is jumps
