@@ -2,9 +2,9 @@
 
 Every subcommand is one row of COMMANDS and runs load -> decode -> op ->
 encode.  Exit codes: 0 success, 1 domain error, 2 malformed input, 3 a
-fault of the program itself, 141 a closed stdout.  An error prints
-{"error": code, "detail": text}: domain errors on stdout, the others on
-stderr.  The README lists every code.
+fault of the program itself, 74 a failed write of the result, 141 a closed
+stdout.  An error prints {"error": code, "detail": text}: domain errors on
+stdout, the others on stderr.  The README lists every code.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cache
 from itertools import islice
 
 from . import compact, hurwitz, moduli, plcore, relu, serialize, types_enum
-from .errors import DomainError, InputError, TropmapsError, decoder
+from .errors import DomainError, InputError, OutputError, TropmapsError, decoder
 from .rational import _bounded_echo, _too_large, format_extended, format_rational
 
 
@@ -296,6 +296,10 @@ def _runner(decode, op, encode, human, dump):
             sys.stdout.flush()   # a closed stdout shows here, not in the exit's own flush
         except ValueError:   # an int past the interpreter's int-string digit limit
             raise _too_large() from None
+        except BrokenPipeError:
+            raise
+        except OSError as exc:   # a full disk, say: no fault of the program or of its input
+            raise OutputError("cannot write the output: %s" % (exc.strerror or exc)) from None
     return run
 
 
@@ -348,8 +352,16 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
+def _drop_stdout():
+    """Point stdout at the null device, so the exit's own flush of what is
+    left in its buffer cannot fail and change the exit code."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+
+
 def _report(exc):
-    stream = sys.stderr if isinstance(exc, InputError) else sys.stdout
+    stream = sys.stderr if isinstance(exc, (InputError, OutputError)) else sys.stdout
     print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream, flush=True)
     return exc.exit_code
 
@@ -360,12 +372,15 @@ def main(argv=None):
         try:
             args.func(args)
             return 0
+        except OutputError as exc:
+            _drop_stdout()
+            return _report(exc)
         except TropmapsError as exc:
             return _report(exc)
         except ValueError as exc:   # an uncoded rejection raised by a module
             return _report(DomainError(str(exc)))
     except BrokenPipeError:   # the reader left early: exit as a shell reports SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
         return 141
     except Exception as exc:    # a fault of the program, not of its input
         detail = _bounded_echo("%s: %s" % (type(exc).__name__, exc), str, 160)

@@ -1,6 +1,7 @@
 """The error model: every failure the package reports carries a stable
 reason code and the exit code the CLI ends with (1 for a domain error,
-2 for malformed input).  The README lists every code.
+2 for malformed input, 74 for output that could not be written).  The
+README lists every code.
 """
 
 from functools import update_wrapper
@@ -26,6 +27,12 @@ class InputError(TropmapsError):
     """Malformed input: unreadable, of the wrong shape or unparsable (exit 2)."""
     code = "invalid-input"
     exit_code = 2
+
+
+class OutputError(TropmapsError):
+    """The result could not be written, to a full disk say (exit 74, sysexits' EX_IOERR)."""
+    code = "output-error"
+    exit_code = 74
 
 
 def decoder(fn):

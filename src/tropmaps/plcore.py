@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, mul, sub
 
 from .errors import InputError
 from .rational import (POS_INF, _bounded_echo, is_infinite, parse_exactly,
                        parse_extended, parse_rational)
-from .record import Record
+from .record import Record, derived
 from .types_enum import _admissibility_reasons
 
 
@@ -58,19 +57,19 @@ class TropicalMap(Record):
         """Number of break points."""
         return len(self.break_points)
 
-    @cached_property
+    @derived
     def break_point_values(self):
         """break_values(self) as a tuple, computed on first use and kept.
 
-        It is stored in the instance __dict__, not as a field, so ==, hash
-        and repr still see only the three fields.
+        It is kept on the instance, not as a field, so ==, hash and repr
+        still see only the three fields.
         """
         return tuple(break_values(self))
 
-    @cached_property
+    @derived
     def break_point_floors(self):
         """The integer part (floor) of each break point, computed on first
-        use and kept in the instance __dict__ like break_point_values."""
+        use and kept on the instance like break_point_values."""
         return tuple([x.numerator // x.denominator for x in self.break_points])
 
 
@@ -221,26 +220,33 @@ def envelope(p: TropicalPolynomial) -> TropicalMap:
     """Upper envelope of the lines y = i*x + a_i as a piecewise-linear map.
 
     Terms that are never strictly maximal are dropped; coincident corner
-    points merge.  Slopes of the result are the surviving exponents.
+    points merge.  Slopes of the result are the surviving exponents.  The
+    intercepts and corners are int pairs (numerator, positive denominator),
+    compared by cross-multiplication; a Fraction is built only for each
+    corner that survives.
     """
-    lines = [(i, c) for i, c in enumerate(p.coefficients) if not is_infinite(c)]
-    hull = []       # (slope, intercept), slopes strictly increasing
-    corners = []    # corner x between hull[j] and hull[j+1]
-    for m_new, b_new in lines:
+    hull = []       # (slope, intercept numerator, denominator), slopes strictly increasing
+    corners = []    # corner x between hull[j] and hull[j+1], as (numerator, denominator)
+    for m_new, c in enumerate(p.coefficients):
+        if is_infinite(c):
+            continue
+        bn, bd = c.numerator, c.denominator
         while hull:
-            m_top, b_top = hull[-1]
-            # x from which the new line dominates the current top
-            x_star = (b_top - b_new) / (m_new - m_top)
-            if corners and x_star <= corners[-1]:
+            m_top, tn, td = hull[-1]
+            # x from which the new line dominates the current top:
+            # (b_top - b_new) / (m_new - m_top), m_new > m_top
+            xn, xd = tn * bd - bn * td, td * bd * (m_new - m_top)
+            if corners and xn * corners[-1][1] <= corners[-1][0] * xd:
                 hull.pop()
                 corners.pop()
                 continue
-            corners.append(x_star)
+            corners.append((xn, xd))
             break
-        hull.append((m_new, b_new))
-    m0, b0 = hull[0]
-    return TropicalMap(tuple(corners), tuple(m for m, _ in hull),
-                       m0 * _anchor_point(corners) + b0)
+        hull.append((m_new, bn, bd))
+    breaks = tuple([Fraction(n, d) for n, d in corners])
+    m0 = hull[0][0]
+    return TropicalMap._built(breaks, tuple([m for m, _, _ in hull]),
+                              parse_rational(m0 * _anchor_point(breaks) + p.coefficients[m0]))
 
 
 def _kinks(m: TropicalMap):
@@ -272,9 +278,13 @@ def _merge_kinks(slope, kinks):
 
 def _from_kinks(slope, intercept, kinks):
     """The inverse of _kinks: the map slope*x + intercept plus the kinks
-    (t, jump) in any order, sorted by t and merged by _merge_kinks."""
+    (t, jump) in any order, sorted by t and merged by _merge_kinks.  Each t
+    is a Fraction and each jump an int or a Fraction."""
     breaks, slopes = _merge_kinks(slope, sorted(kinks, key=itemgetter(0)))
-    return TropicalMap(breaks, slopes, slope * _anchor_point(breaks) + intercept)
+    # The breaks are the kinks' Fractions; the slopes and the anchor take
+    # the parse's normalising steps (an integral Fraction slope becomes an int).
+    return TropicalMap._built(tuple(breaks), tuple(map(_parse_slope, slopes)),
+                              parse_rational(slope * _anchor_point(breaks) + intercept))
 
 
 def piecewise_difference(a: TropicalMap, b: TropicalMap) -> TropicalMap:

@@ -1,7 +1,8 @@
 """Frozen value records, the base of the package's value types.  The fields
 are the class annotations, in order, and a plain record takes one positional
 value for each.  `==`, `hash`, `repr` go by field; no attribute can be set or deleted.
-A parsing type defines `__init__` and passes the parsed values to `Record.__init__` once."""
+A parsing type defines `__init__` and passes the parsed values to `Record.__init__` once;
+a value the package computed from parsed values is built by `_built`, without the parse."""
 
 from operator import attrgetter
 
@@ -23,6 +24,14 @@ class Record:
             _set(self, name, args[i])
             i += 1
 
+    @classmethod
+    def _built(cls, *values):
+        """The record of values that are each already what the parsing
+        constructor would make of them; its checks and parses are skipped."""
+        self = object.__new__(cls)
+        Record.__init__(self, *values)
+        return self
+
     def __eq__(self, other):
         return (self._values(self) == self._values(other)
                 if other.__class__ is self.__class__ else NotImplemented)
@@ -38,3 +47,23 @@ class Record:
         raise AttributeError("cannot assign to or delete field %r" % name)
 
     __delattr__ = __setattr__
+
+
+class derived:
+    """A value derived from a record's fields on its first read and kept on
+    the instance, not as a field: ==, hash and repr do not see it, and
+    Record still refuses its assignment and deletion.  Unlike
+    functools.cached_property it takes no lock: a value that two threads
+    derive at once is derived twice, to equal results."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        _set(instance, self.name, value)   # no __set__ here, so it lands on the instance
+        return value

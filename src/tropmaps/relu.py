@@ -10,9 +10,10 @@ without tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import moduli
-from .plcore import TropicalMap, _from_kinks, _kinks, _parse_slope, is_admissible
+from .plcore import TropicalMap, _from_kinks, _kinks, is_admissible
 from .rational import parse_rational
 from .record import Record
 from .types_enum import _D3_LABELS, _is_palindrome
@@ -62,6 +63,13 @@ def _threshold(w, b):
     return Fraction(-b.numerator * w.denominator, b.denominator * w.numerator)
 
 
+def _sum(n, d, m, e):
+    """n/d + m/e in lowest terms as (numerator, denominator), d and e positive."""
+    n, d = n * e + m * d, d * e
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _folded_terms(net: ReLUNetwork):
     """Rewrite every unit as jump * max(0, x - threshold) plus an affine part.
 
@@ -70,24 +78,24 @@ def _folded_terms(net: ReLUNetwork):
     with terms a list of (threshold, jump); jumps can be zero here (dead
     a_j = 0 units) and cancel later.  Jumps and thresholds are built from
     numerators and denominators, at most one gcd each, and an integral slope or
-    jump is an int, so the merge adds ints.
+    jump is an int, so the merge adds ints.  The slope and the bias are summed
+    as reduced int pairs and built once at the end.
     """
-    slope, bias = net.base_slope, net.base_bias
+    sn, sd = net.base_slope.numerator, net.base_slope.denominator
+    bn, bd = net.base_bias.numerator, net.base_bias.denominator
     terms = []
     for w, b, a in net.units:
-        wn, wd = w.numerator, w.denominator
+        wn = w.numerator
+        if wn < 0 or not wn and b > 0:  # the flip's a * b, or a * max(0, b)
+            bn, bd = _sum(bn, bd, a.numerator * b.numerator, a.denominator * b.denominator)
         if not wn:
-            if b > 0:  # a * max(0, b)
-                bias += a * b
             continue
-        jn, jd = a.numerator * wn, a.denominator * wd
-        jump = jn // jd if jn % jd == 0 else Fraction(jn, jd)
+        jn, jd = a.numerator * wn, a.denominator * w.denominator
         if wn < 0:  # flipping (w, b) to (-w, -b) keeps the threshold
-            slope += jump
-            bias += a * b
-            jump = -jump
-        terms.append((_threshold(w, b), jump))
-    return _parse_slope(slope), bias, terms
+            sn, sd = _sum(sn, sd, jn, jd)
+            jn = -jn
+        terms.append((_threshold(w, b), jn // jd if jn % jd == 0 else Fraction(jn, jd)))
+    return sn if sd == 1 else Fraction(sn, sd), Fraction(bn, bd), terms
 
 
 def network_to_map(net: ReLUNetwork) -> NetworkConversion:
@@ -101,7 +109,9 @@ def network_to_map(net: ReLUNetwork) -> NetworkConversion:
 def map_to_network(m: TropicalMap) -> ReLUNetwork:
     """Canonical network of a map: all hidden weights +1, one unit per break."""
     slope, intercept, kinks = _kinks(m)
-    return ReLUNetwork(slope, intercept, tuple((1, -x, jump) for x, jump in kinks))
+    one = Fraction(1)   # every field a Fraction, as the parsing constructor makes it
+    return ReLUNetwork._built(Fraction(slope), intercept,
+                              tuple([(one, -x, Fraction(jump)) for x, jump in kinks]))
 
 
 def symmetry_report(net: ReLUNetwork) -> SymmetryReport:

@@ -9,11 +9,10 @@ exactly ten, labeled I-X.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from operator import sub
 
 from .rational import _bounded_echo
-from .record import Record
+from .record import Record, derived
 
 
 def _admissibility_reasons(degree, slopes):
@@ -58,9 +57,9 @@ class SlopeSequence(Record):
     def k(self):
         return len(self.slopes) - 1
 
-    @cached_property
+    @derived
     def jumps(self):
-        """Slope change at each break, kept in __dict__ on first use: not a field."""
+        """Slope change at each break, kept on first use: not a field."""
         return tuple(b - a for a, b in zip(self.slopes, self.slopes[1:]))
 
     def jumps_share_sign(self, i) -> bool:

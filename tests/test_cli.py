@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -492,6 +493,29 @@ class TestErrorCodes:
         with python(["-m", "tropmaps.cli", "hurwitz", "--distances", "1,0,1"], write) as proc:
             os.close(write)
             assert (proc.stderr.read(), proc.wait()) == (b"", 141)
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [["aut", "-", "--json"], ["aut", "-"],
+                                      ["types", "--degree", "6", "--json"]])
+    def test_full_disk_is_an_output_error(self, tmp_path, argv, failing):
+        """A stdout whose write or flush fails with ENOSPC: exit 74 and
+        output-error on stderr, and stdout's descriptor then points at the null
+        device, so the exit's own flush of what is left cannot fail again."""
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        stdout, err = io.StringIO(), io.StringIO()
+        stdout.fileno = lambda: fd
+        setattr(stdout, failing, full)
+        try:
+            with mock.patch("sys.stdin", io.StringIO(json.dumps(README_POINT))), \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == 74 and json.loads(err.getvalue()) == {
+            "error": "output-error", "detail": "cannot write the output: No space left on device"}
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code, err", [
