@@ -2,7 +2,7 @@
 
 Every subcommand is one row of COMMANDS and runs load -> decode -> op ->
 encode.  Exit codes: 0 success, 1 domain error, 2 malformed input, 3 a
-fault of the program itself, 74 a failed write of the result, 141 a closed
+fault of the program itself, 74 a failed write to stdout, 141 a closed
 stdout.  An error prints {"error": code, "detail": text}: domain errors on
 stdout, the others on stderr.  The README lists every code.
 """
@@ -293,13 +293,8 @@ def _runner(decode, op, encode, human, dump):
         payload = result if encode is None else encode(result)
         try:
             (dump if args.json else human)(payload)
-            sys.stdout.flush()   # a closed stdout shows here, not in the exit's own flush
         except ValueError:   # an int past the interpreter's int-string digit limit
             raise _too_large() from None
-        except BrokenPipeError:
-            raise
-        except OSError as exc:   # a full disk, say: no fault of the program or of its input
-            raise OutputError("cannot write the output: %s" % (exc.strerror or exc)) from None
     return run
 
 
@@ -352,36 +347,31 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
-def _drop_stdout():
-    """Point stdout at the null device, so the exit's own flush of what is
-    left in its buffer cannot fail and change the exit code."""
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, sys.stdout.fileno())
-    os.close(null)
-
-
 def _report(exc):
     stream = sys.stderr if isinstance(exc, (InputError, OutputError)) else sys.stdout
-    print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream, flush=True)
+    print(json.dumps({"error": exc.code, "detail": str(exc)}), file=stream)
     return exc.exit_code
 
 
 def main(argv=None):
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
         try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
             args.func(args)
-            return 0
-        except OutputError as exc:
-            _drop_stdout()
-            return _report(exc)
+            code = 0
         except TropmapsError as exc:
-            return _report(exc)
+            code = _report(exc)
         except ValueError as exc:   # an uncoded rejection raised by a module
-            return _report(DomainError(str(exc)))
-    except BrokenPipeError:   # the reader left early: exit as a shell reports SIGPIPE
-        _drop_stdout()
-        return 141
+            code = _report(DomainError(str(exc)))
+        sys.stdout.flush()   # a failed write shows here, not in the exit's own flush
+        return code
+    except OSError as exc:   # a failed write to stdout: no fault of the program or of its input
+        null = os.open(os.devnull, os.O_WRONLY)   # stdout's exit flush must not fail again
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        if isinstance(exc, BrokenPipeError):   # the reader left early: 128 + SIGPIPE
+            return 141
+        return _report(OutputError("cannot write the output: %s" % (exc.strerror or exc)))
     except Exception as exc:    # a fault of the program, not of its input
         detail = _bounded_echo("%s: %s" % (type(exc).__name__, exc), str, 160)
         print(json.dumps({"error": "internal-error", "detail": detail}), file=sys.stderr)

@@ -30,7 +30,7 @@ class InputError(TropmapsError):
 
 
 class OutputError(TropmapsError):
-    """The result could not be written, to a full disk say (exit 74, sysexits' EX_IOERR)."""
+    """A write to stdout failed, to a full disk say (exit 74, sysexits' EX_IOERR)."""
     code = "output-error"
     exit_code = 74
 

@@ -496,11 +496,15 @@ class TestErrorCodes:
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("argv", [["aut", "-", "--json"], ["aut", "-"],
-                                      ["types", "--degree", "6", "--json"]])
+                                      ["types", "--degree", "6", "--json"],
+                                      ["--help"], ["types", "--help"],
+                                      ["hurwitz", "--distances", "1,0,1"]])
     def test_full_disk_is_an_output_error(self, tmp_path, argv, failing):
         """A stdout whose write or flush fails with ENOSPC: exit 74 and
         output-error on stderr, and stdout's descriptor then points at the null
-        device, so the exit's own flush of what is left cannot fail again."""
+        device, so the exit's own flush of what is left cannot fail again.
+        Every write to stdout counts: the result, the help text, and the
+        report of a domain error (coincident branch points here)."""
         def full(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
@@ -516,6 +520,27 @@ class TestErrorCodes:
             os.close(fd)
         assert code == 74 and json.loads(err.getvalue()) == {
             "error": "output-error", "detail": "cannot write the output: No space left on device"}
+
+    @pytest.mark.parametrize("argv, stdin, error, code", [
+        (["from-relu", "-", "--json"],
+         {"base_slope": "0", "base_bias": "0", "units": [{"w": NINES, "b": "0", "a": NINES}]},
+         cli.DomainError, "result-too-large"),
+        (["classify", "-"], "{not json", cli.InputError, "invalid-input"),
+        (["eval", "-", "--at", "2"], {"breaks": ["0"], "slopes": [3, 3], "anchor": "0"},
+         cli.DomainError, "invalid-map"),
+    ])
+    def test_a_handler_raises_the_coded_error(self, argv, stdin, error, code):
+        """args.func itself raises the coded error that main reports, a
+        too-large result included: perfbench/ops.py calls it directly and maps
+        the exception to its code as main does."""
+        args = cli.build_parser().parse_args(argv)
+        stdin = stdin if isinstance(stdin, str) else json.dumps(stdin)
+        with mock.patch("sys.stdin", io.StringIO(stdin)), \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            with pytest.raises(error) as info:
+                args.func(args)
+        assert type(info.value) is error and info.value.code == code
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, code, err", [
