@@ -181,14 +181,13 @@ def _stratum_json(s):
     }
 
 
-def _strata(seq):
-    strata = compact.face_lattice(seq)
-    census = Counter(s.codimension for s in strata)
-    return {
-        "type": types_enum._D3_LABELS[seq.slopes],
-        "codimension_census": {str(c): census[c] for c in sorted(census)},
-        "strata": [_stratum_json(s) for s in strata],
-    }
+def _census(strata):
+    return {str(c): n for c, n in sorted(Counter(s.codimension for s in strata).items())}
+
+
+def _strata(seq, strata):
+    return {"type": types_enum._D3_LABELS[seq.slopes], "codimension_census": _census(strata),
+            "strata": [_stratum_json(s) for s in strata]}
 
 
 def _print_strata(p):
@@ -198,6 +197,30 @@ def _print_strata(p):
         print("  %-28s codim %d  limit %s  in_moduli=%s"
               % ("/".join(s["states"]), s["codimension"],
                  tuple(s["limit_slopes"]), s["in_moduli"]))
+
+
+@cache
+def _face_template(states):
+    """The JSON text of a face in these states, its other four fields left as %s."""
+    _, codimension, infinity = compact._FACES[states]
+    return ('{"states": %s, "codimension": %d, "collisions": %%s, "infinity": %s, '
+            '"limit_slopes": %%s, "in_moduli": %%s, "limit_label": %%s}'
+            % (json.dumps(list(states)), codimension, json.dumps(list(infinity))))
+
+
+def _dump_strata(seq, strata):
+    """strata --json: the bytes json.dumps gives for _strata's payload, with the
+    slots of the faces that share their gaps at zero rendered once."""
+    slots = {}
+    for s in strata:
+        if s.collisions not in slots:   # the collisions name the gaps at zero
+            slots[s.collisions] = (
+                "[%s]" % ", ".join('{"index": %d, "kind": "%s"}' % c for c in s.collisions),
+                "[%s]" % ", ".join(map(str, s.limit_slopes)), "true" if s.in_moduli else "false",
+                '"%s"' % s.limit_label if s.in_moduli else "null")
+    rows = ", ".join(_face_template(s.coordinate_states) % slots[s.collisions] for s in strata)
+    sys.stdout.write('{"type": "%s", "codimension_census": %s, "strata": [%s]}\n' % (
+        types_enum._D3_LABELS[seq.slopes], json.dumps(_census(strata)), rows))
 
 
 def _symmetry_json(report):
@@ -274,7 +297,9 @@ COMMANDS = (
      _branch_configuration, _hurwitz, None, _print_hurwitz),
     ("strata", "face lattice of a maximal type's cube",
      [("--type", {"required": True, "help": "registry label I-V"})],
-     lambda a: types_enum.registry_sequence(a.type), _strata, None, _print_strata),
+     # the lattice is built in the op, so its DomainError is not the dump's ValueError
+     lambda a: types_enum.registry_sequence(a.type), lambda q: (q, compact.face_lattice(q)),
+     None, lambda v: _print_strata(_strata(*v)), lambda v: _dump_strata(*v)),
 )
 _ROWS = {row[0]: row for row in COMMANDS}
 

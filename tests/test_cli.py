@@ -10,8 +10,9 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropmaps import TropicalMap, cli, moduli, moduli_point, types_enum
+from tropmaps import TropicalMap, cli, compact, moduli, moduli_point, types_enum
 from conftest import README_MAP, README_NET, README_POINT, call, python
+from test_compact import ORIENTED_FOUR_BREAK
 
 LONG_UNIT = {"w": "1", "b": "0", "a": "1/1" + "0" * 3999}
 NINES = "9" * 4000  # one unit of w = a = NINES gives an 8,000-digit slope
@@ -216,6 +217,22 @@ class TestCompactCommands:
         assert code == 0 and len(payload["strata"]) == 27
         assert payload["codimension_census"] == {"0": 1, "1": 6, "2": 12, "3": 8}
 
+    @pytest.mark.parametrize("slopes", ORIENTED_FOUR_BREAK)
+    def test_strata_dump_is_the_payload_json(self, slopes, capsys):
+        # bytes, not parsed JSON, for every oriented sequence: the reversed
+        # orientation of type III included, which --type never names
+        seq = types_enum.SlopeSequence(3, slopes)
+        strata = compact.face_lattice(seq)
+        cli._dump_strata(seq, strata)
+        assert capsys.readouterr().out == json.dumps(cli._strata(seq, strata)) + "\n"
+
+    def test_one_face_template_per_face_shape(self):
+        cli._face_template.cache_clear()
+        for label in ("I", "II", "III", "IV", "V"):
+            assert call(["strata", "--type", label, "--json"])[0] == 0
+        info = cli._face_template.cache_info()
+        assert info.currsize == 27 and info.hits + info.misses == 5 * 27
+
     def test_strata_lower_type_rejected(self):
         code, out, _ = call(["strata", "--type", "IX", "--json"])
         assert code == 1 and "error" in json.loads(out)
@@ -408,6 +425,8 @@ class TestErrorCodes:
          README_POINT),
         ("non-generic-configuration", 1, "out", ("hurwitz", "--distances", "1,0,1"), None),
         ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX"), None),
+        # the lattice is built before the dump, which reads a ValueError as result-too-large
+        ("not-a-maximal-type", 1, "out", ("strata", "--type", "IX", "--json"), None),
         ("invalid-input", 2, "err", ("types", "--degree", "0"), None),
         ("invalid-input", 2, "err", ("types", "--degree", "9"), None),
         ("result-too-large", 1, "out", ("eval", "-", "--at", "7" * 3000),
@@ -497,6 +516,7 @@ class TestErrorCodes:
     @pytest.mark.parametrize("failing", ["write", "flush"])
     @pytest.mark.parametrize("argv", [["aut", "-", "--json"], ["aut", "-"],
                                       ["types", "--degree", "6", "--json"],
+                                      ["strata", "--type", "I", "--json"],
                                       ["--help"], ["types", "--help"],
                                       ["hurwitz", "--distances", "1,0,1"]])
     def test_full_disk_is_an_output_error(self, tmp_path, argv, failing):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint,
-                      SlopeSequence, classify_stratum, degenerate, face_lattice,
+                      SlopeSequence, classify_stratum, degenerate, face_lattice, plcore,
                       registry_d3, registry_sequence)
 
 INF = math.inf
@@ -175,6 +175,17 @@ class TestFaceLattice:
             gaps = tuple({"zero": 0, "open": g, "infinite": INF}[state]
                          for state, g in zip(face.coordinate_states, opens))
             assert face == classify_stratum(CompactifiedPoint(seq, gaps))
+
+    @pytest.mark.parametrize("slopes", ORIENTED_FOUR_BREAK)
+    def test_one_merge_per_set_of_gaps_at_zero(self, spy, slopes):
+        # a face's limit depends only on which gaps are zero: the 27 faces
+        # take 8 merges, one point's face takes one
+        merges = spy(plcore, "_merge_kinks")
+        seq = SlopeSequence(3, slopes)
+        assert len(face_lattice(seq)) == 27 and len(merges) == 8
+        del merges[:]
+        classify_stratum(CompactifiedPoint(seq, (0, 1, INF)))
+        assert len(merges) == 1
 
     def test_all_maximal_types_census(self):
         for t in registry_d3():

@@ -7,19 +7,22 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tropmaps import (ModuliPoint, SlopeSequence, automorphisms, map_to_network,
-                      moduli_point, representative_map, symmetry_report)
+from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint, SlopeSequence,
+                      automorphisms, classify_stratum, degenerate, face_lattice,
+                      map_to_network, moduli_point, representative_map, symmetry_report)
 from tropmaps.types_enum import _D3_LABELS
 
 GAPS = st.builds(Fraction, st.integers(1, 600), st.integers(1, 12))
 
 
 @st.composite
-def points(draw):
+def points(draw, k=None):
     """A point of any of the 14 oriented degree-3 sequences (the keys of
-    _D3_LABELS): random positive gaps, the last equal to the first half of the
-    time, so palindromic types reach their Z/2 locus, and a random position."""
-    seq = SlopeSequence(3, draw(st.sampled_from(sorted(_D3_LABELS))))
+    _D3_LABELS), or of those with k breaks: random positive gaps, the last
+    equal to the first half of the time, so palindromic types reach their Z/2
+    locus, and a random position."""
+    slopes = sorted(s for s in _D3_LABELS if k is None or len(s) - 1 == k)
+    seq = SlopeSequence(3, draw(st.sampled_from(slopes)))
     gaps = draw(st.lists(GAPS, min_size=seq.k - 1, max_size=seq.k - 1))
     if draw(st.booleans()):
         gaps[-1] = gaps[0]
@@ -44,3 +47,26 @@ class TestDiagrams:
         assert report.admissible and report.dead_units == ()
         assert report.type_label == _D3_LABELS[p.seq.slopes]
         assert report.aut == automorphisms(p).kind
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=points(k=4))
+    def test_a_point_and_the_cube_of_its_cell_agree(self, p):
+        """Two statements of the paper about the compactified cell of a
+        four-break type.  Its interior: a point with open gaps lies on the
+        cube's open face, with no collision and the point's own type.  Its
+        boundary as degenerations of the gaps: merging the breaks of gap i in
+        the moduli space succeeds exactly when the face with only gap i at
+        zero is a valid merge, and then lands on that face's limit type."""
+        interior = classify_stratum(CompactifiedPoint(p.seq, p.gaps))
+        assert interior.codimension == 0 and interior.collisions == () and interior.in_moduli
+        assert interior.limit_label == _D3_LABELS[p.seq.slopes]
+        faces = {face.coordinate_states: face for face in face_lattice(p.seq)}
+        for i in (1, 2, 3):
+            face = faces[tuple("zero" if j == i else "open" for j in (1, 2, 3))]
+            try:
+                q = degenerate(p, i)
+            except InvalidDegeneration:
+                assert face.collisions == ((i, "reduced-variation"),)
+            else:
+                assert face.collisions == ((i, "valid-merge"),) and face.in_moduli
+                assert q.seq.slopes == face.limit_slopes
