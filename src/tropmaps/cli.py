@@ -199,28 +199,17 @@ def _print_strata(p):
                  tuple(s["limit_slopes"]), s["in_moduli"]))
 
 
-@cache
-def _face_template(states):
-    """The JSON text of a face in these states, its other four fields left as %s."""
-    _, codimension, infinity = compact._FACES[states]
-    return ('{"states": %s, "codimension": %d, "collisions": %%s, "infinity": %s, '
-            '"limit_slopes": %%s, "in_moduli": %%s, "limit_label": %%s}'
-            % (json.dumps(list(states)), codimension, json.dumps(list(infinity))))
+@cache   # the domain bounds it: 129 distinct faces over the six oriented four-break sequences
+def _face_json(s):
+    """The JSON text of a face, rendered once per distinct face."""
+    return json.dumps(_stratum_json(s))
 
 
 def _dump_strata(seq, strata):
-    """strata --json: the bytes json.dumps gives for _strata's payload, with the
-    slots of the faces that share their gaps at zero rendered once."""
-    slots = {}
-    for s in strata:
-        if s.collisions not in slots:   # the collisions name the gaps at zero
-            slots[s.collisions] = (
-                "[%s]" % ", ".join('{"index": %d, "kind": "%s"}' % c for c in s.collisions),
-                "[%s]" % ", ".join(map(str, s.limit_slopes)), "true" if s.in_moduli else "false",
-                '"%s"' % s.limit_label if s.in_moduli else "null")
-    rows = ", ".join(_face_template(s.coordinate_states) % slots[s.collisions] for s in strata)
+    """strata --json: the bytes json.dumps gives for _strata's payload."""
     sys.stdout.write('{"type": "%s", "codimension_census": %s, "strata": [%s]}\n' % (
-        types_enum._D3_LABELS[seq.slopes], json.dumps(_census(strata)), rows))
+        types_enum._D3_LABELS[seq.slopes], json.dumps(_census(strata)),
+        ", ".join(map(_face_json, strata))))
 
 
 def _symmetry_json(report):

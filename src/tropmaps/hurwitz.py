@@ -76,7 +76,8 @@ def quotient_source(p: ModuliPoint) -> QuotientedModuliPoint:
 def branch_configuration(p: ModuliPoint) -> BranchConfiguration:
     """Consecutive critical-value distances d_i = s_i * l_i (interior slopes)."""
     if p.seq.k != 4:
-        raise ValueError("branch configuration needs four simple critical points")
+        raise DomainError("branch configuration needs four simple critical points",
+                          code="not-a-maximal-type")
     interior = p.seq.slopes[1:-1]
     return BranchConfiguration(tuple(s * g for s, g in zip(interior, p.gaps)))
 

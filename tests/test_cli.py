@@ -226,12 +226,22 @@ class TestCompactCommands:
         cli._dump_strata(seq, strata)
         assert capsys.readouterr().out == json.dumps(cli._strata(seq, strata)) + "\n"
 
-    def test_one_face_template_per_face_shape(self):
-        cli._face_template.cache_clear()
-        for label in ("I", "II", "III", "IV", "V"):
-            assert call(["strata", "--type", label, "--json"])[0] == 0
-        info = cli._face_template.cache_info()
-        assert info.currsize == 27 and info.hits + info.misses == 5 * 27
+    def test_one_face_text_per_distinct_face(self, capsys):
+        # the cache grows with the distinct faces, not with the calls
+        labels = ("I", "II", "III", "IV", "V")
+        faces = {s for label in labels
+                 for s in compact.face_lattice(types_enum.registry_sequence(label))}
+        cli._face_json.cache_clear()
+        for _ in range(2):
+            for label in labels:
+                assert call(["strata", "--type", label, "--json"])[0] == 0
+            assert cli._face_json.cache_info().misses == len(faces)
+        for slopes in ORIENTED_FOUR_BREAK:   # type III's reversal, which --type never names
+            seq = types_enum.SlopeSequence(3, slopes)
+            strata = compact.face_lattice(seq)
+            cli._dump_strata(seq, strata)
+            faces.update(strata)
+        assert cli._face_json.cache_info().currsize == len(faces) <= 129
 
     def test_strata_lower_type_rejected(self):
         code, out, _ = call(["strata", "--type", "IX", "--json"])

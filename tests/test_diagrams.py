@@ -7,9 +7,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tropmaps import (CompactifiedPoint, InvalidDegeneration, ModuliPoint, SlopeSequence,
-                      automorphisms, classify_stratum, degenerate, face_lattice,
-                      map_to_network, moduli_point, representative_map, symmetry_report)
+from tropmaps import (BranchConfiguration, CompactifiedPoint, InvalidDegeneration, ModuliPoint,
+                      SlopeSequence, automorphisms, branch_configuration, classify_stratum,
+                      degenerate, face_lattice, fiber, map_to_network, moduli_point,
+                      quotient_source, representative_map, symmetry_report)
+from tropmaps.hurwitz import TYPE_MULTIPLICITY
 from tropmaps.types_enum import _D3_LABELS
 
 GAPS = st.builds(Fraction, st.integers(1, 600), st.integers(1, 12))
@@ -70,3 +72,18 @@ class TestDiagrams:
             else:
                 assert face.collisions == ((i, "valid-merge"),) and face.in_moduli
                 assert q.seq.slopes == face.limit_slopes
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=points(k=4))
+    def test_a_quotiented_point_lies_in_the_fiber_of_its_configuration(self, p):
+        """The paper's Hurwitz fiber of the source-quotiented space: a
+        four-break point with its translation dropped and its two orientations
+        identified is one element of the fiber over its branch configuration,
+        with its type's multiplicity.  The configuration is read in the
+        representative's orientation: a reversal reverses the distances too."""
+        q = quotient_source(p)
+        d = branch_configuration(p).distances
+        b = BranchConfiguration(d[::-1] if q.reversed_orientation else d)
+        multiplicity = {(e.seq, e.gaps): e.multiplicity for e in fiber(b)}
+        assert multiplicity[q.canonical_seq, q.gaps] == \
+            TYPE_MULTIPLICITY[_D3_LABELS[q.canonical_seq.slopes]]

@@ -8,6 +8,7 @@ from tropmaps import (BranchConfiguration, ModuliPoint,
                       NonGenericConfiguration, automorphisms, branch_configuration,
                       canonical_type, fiber, hurwitz_number, moduli, moduli_point,
                       quotient_source, registry_sequence)
+from tropmaps.errors import DomainError
 from conftest import random_fraction
 
 GAPS = st.fractions(min_value=Fraction(1, 12), max_value=50, max_denominator=12)
@@ -60,8 +61,9 @@ class TestBranchConfiguration:
 
     def test_needs_four_breaks(self):
         p = ModuliPoint(registry_sequence("IX"), (1,), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError) as info:
             branch_configuration(p)
+        assert info.value.code == "not-a-maximal-type"
 
     def test_from_branch_points(self):
         b = BranchConfiguration.from_branch_points([0, 4, 14, 18])
